@@ -10,6 +10,11 @@
 // compile+load cost — solves for the break-even input size, and verifies
 // it empirically with a sweep.
 //
+// Gate: the process exits 1 when the best of three cold compile+load
+// times of Sum exceeds 400 ms (the compile cost steno/Rt.h's STL-free
+// contract keeps near 0.1 s). Writes BENCH_sec71_breakeven.json (see
+// BenchUtil.h JsonReport).
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -25,7 +30,11 @@ using namespace steno::expr;
 using namespace steno::expr::dsl;
 using query::Query;
 
+/// Ceiling on the best cold compile+load of Sum, in milliseconds.
+constexpr double MaxCompileMs = 400.0;
+
 int main() {
+  JsonReport Json("sec71_breakeven");
   const std::int64_t N = scaled(10000000);
   std::vector<double> Xs = uniformDoubles(N, 11);
   header("Section 7.1: one-off compilation cost and break-even point");
@@ -59,6 +68,9 @@ int main() {
   std::printf("Steno Sum(%lld): %8.1f ms  (%.2f ns/element)\n",
               static_cast<long long>(N), StenoS * 1e3, StenoPerElemNs);
   std::printf("Steno one-off compile+load: %.0f ms\n", CompileMs);
+  Json.add("linq_sum", LinqS, N);
+  Json.add("steno_sum", StenoS, N);
+  Json.add("compile_load", CompileMs / 1e3, 1);
 
   // Model: LINQ(n) = a_linq * n; Steno(n) = compile + a_steno * n.
   double BreakEven =
@@ -97,5 +109,10 @@ int main() {
               "times after the first use — the amortized column is the "
               "Steno run time alone, %.1f ms at n=%lld)\n",
               StenoS * 1e3, static_cast<long long>(N));
+  if (CompileMs > MaxCompileMs) {
+    std::printf("FAIL: cold compile+load %.0f ms exceeds %.0f ms\n",
+                CompileMs, MaxCompileMs);
+    return 1;
+  }
   return 0;
 }

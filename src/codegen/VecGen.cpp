@@ -116,8 +116,6 @@ private:
   // Low-level emission
   //===--------------------------------------------------------------===//
 
-  void blank() { Out += "\n"; }
-
   void line(const char *Fmt, ...) __attribute__((format(printf, 2, 3))) {
     va_list Args;
     va_start(Args, Fmt);
@@ -157,38 +155,9 @@ private:
   //===--------------------------------------------------------------===//
 
   void preamble() {
-    line("// Generated by Steno (vectorized batch loops, DESIGN.md "
-         "[5i]).");
-    line("// Query entry point: %s", Entry.c_str());
-    line("#include \"steno/Rt.h\"");
-    blank();
-    line("#include <algorithm>");
-    line("#include <cmath>");
-    line("#include <cstdint>");
-    line("#include <cstdlib>");
-    blank();
-    line("extern \"C\" void %s(const steno::rt::Captures *Caps_,",
-         Entry.c_str());
-    line("                     steno::rt::Emitter *Out_) {");
+    Out += cpptree::printPrelude("vectorized batch loops, DESIGN.md [5i]",
+                                 Entry, Slots, Prof ? P.NumProfOps : 0);
     Indent = 1;
-    line("(void)Caps_;");
-    line("(void)Out_;");
-    for (unsigned Slot : Slots.SourceSlots) {
-      line("const double *src%u_d = Caps_->Sources[%u].D;", Slot, Slot);
-      line("const std::int64_t *src%u_i = Caps_->Sources[%u].I;", Slot,
-           Slot);
-      line("const std::int64_t src%u_count = Caps_->Sources[%u].Count;",
-           Slot, Slot);
-      line("const std::int64_t src%u_dim = Caps_->Sources[%u].Dim;", Slot,
-           Slot);
-      line("(void)src%u_d; (void)src%u_i; (void)src%u_count; "
-           "(void)src%u_dim;",
-           Slot, Slot, Slot, Slot);
-    }
-    if (Prof) {
-      line("std::uint64_t prof_c_[%zu] = {};", P.NumProfOps * 2);
-      line("std::uint64_t prof_ns_[%zu] = {};", P.NumProfOps);
-    }
   }
 
   /// Per-op counter/flag seeds and the aggregate seed, in chain-op order
@@ -257,8 +226,11 @@ private:
   void batchState() {
     line("constexpr std::int64_t VB_ = %zu;", VB);
     for (std::size_t I = 0; I != P.Steps.size(); ++I)
-      if (P.Steps[I].K == VStepKind::Trans)
+      if (P.Steps[I].K == VStepKind::Trans) {
+        // A column the consumer ignores (Count) is written, never read.
         line("alignas(64) %s vcol%zu_[VB_];", kindCxx(P.Steps[I].OutK), I);
+        line("(void)vcol%zu_;", I);
+      }
     if (anyWhere())
       line("std::int32_t vsel_[VB_];");
   }
@@ -320,7 +292,9 @@ private:
     if (Sparse) {
       line("for (std::int64_t vs_ = 0; vs_ < vn_; ++vs_) {");
       ++Indent;
+      // A body that ignores the element (Count) never reads the lane.
       line("const std::int64_t vj_ = vsel_[vs_];");
+      line("(void)vj_;");
     } else {
       line("for (std::int64_t vj_ = vlo_; vj_ < vhi_; ++vj_) {");
       ++Indent;
@@ -526,17 +500,17 @@ private:
         break;
       case VReduceOp::Min:
         line("{ const %s vx_ = %s;", kindCxx(P.AccK), G.c_str());
-        if (P.AccFirst)
-          line("  vacc_ = vacc_ < vx_ ? vacc_ : vx_; }");
-        else
+        if (P.AccFirst) // steno::rt::min(vacc_, vx_)
           line("  vacc_ = vx_ < vacc_ ? vx_ : vacc_; }");
+        else
+          line("  vacc_ = vacc_ < vx_ ? vacc_ : vx_; }");
         break;
       case VReduceOp::Max:
         line("{ const %s vx_ = %s;", kindCxx(P.AccK), G.c_str());
-        if (P.AccFirst)
-          line("  vacc_ = vacc_ > vx_ ? vacc_ : vx_; }");
+        if (P.AccFirst) // steno::rt::max(vacc_, vx_)
+          line("  vacc_ = vacc_ < vx_ ? vx_ : vacc_; }");
         else
-          line("  vacc_ = vx_ > vacc_ ? vx_ : vacc_; }");
+          line("  vacc_ = vx_ < vacc_ ? vacc_ : vx_; }");
         break;
       }
     } else {

@@ -108,41 +108,9 @@ public:
   }
 
   std::string run() {
-    SlotUsage Slots = scanSlots(P);
-    line("// Generated by Steno (iterator fusion + nested loop"
-         " generation).");
-    line("// Query entry point: %s", P.Name.c_str());
-    line("#include \"steno/Rt.h\"");
-    blank();
-    line("#include <algorithm>");
-    line("#include <cmath>");
-    line("#include <cstdint>");
-    line("#include <cstdlib>");
-    blank();
-    line("extern \"C\" void %s(const steno::rt::Captures *Caps_,",
-         P.Name.c_str());
-    line("                     steno::rt::Emitter *Out_) {");
+    Out = printPrelude("iterator fusion + nested loop generation", P.Name,
+                       scanSlots(P), P.ProfOps.size());
     Indent = 1;
-    line("(void)Caps_;");
-    line("(void)Out_;");
-    for (unsigned Slot : Slots.SourceSlots) {
-      line("const double *src%u_d = Caps_->Sources[%u].D;", Slot, Slot);
-      line("const std::int64_t *src%u_i = Caps_->Sources[%u].I;", Slot,
-           Slot);
-      line("const std::int64_t src%u_count = Caps_->Sources[%u].Count;",
-           Slot, Slot);
-      line("const std::int64_t src%u_dim = Caps_->Sources[%u].Dim;", Slot,
-           Slot);
-      line("(void)src%u_d; (void)src%u_i; (void)src%u_count; "
-           "(void)src%u_dim;",
-           Slot, Slot, Slot, Slot);
-    }
-    if (!P.ProfOps.empty()) {
-      // Per-run profile accumulators: stack-local, non-atomic, flushed
-      // once through Captures at exit so the hot loop never shares.
-      line("std::uint64_t prof_c_[%zu] = {};", P.ProfOps.size() * 2);
-      line("std::uint64_t prof_ns_[%zu] = {};", P.ProfOps.size());
-    }
     printStmts(P.Body);
     if (!P.ProfOps.empty()) {
       line("if (Caps_->ProfCounts)");
@@ -160,8 +128,6 @@ public:
   }
 
 private:
-  void blank() { Out += "\n"; }
-
   void line(const char *Fmt, ...) __attribute__((format(printf, 2, 3))) {
     va_list Args;
     va_start(Args, Fmt);
@@ -383,7 +349,7 @@ private:
              S.Sink.AccType->cxxName().c_str(), S.Name.c_str());
       return;
     case SinkKind::Vec:
-      line("std::vector<%s> %s;", S.Sink.ElemType->cxxName().c_str(),
+      line("steno::rt::Buf<%s> %s;", S.Sink.ElemType->cxxName().c_str(),
            S.Name.c_str());
       return;
     }
@@ -403,7 +369,7 @@ private:
     };
     std::string KeyA = expr::printExprCxx(*S.KeyFn.body(), ANames);
     std::string KeyB = expr::printExprCxx(*S.KeyFn.body(), BNames);
-    line("std::stable_sort(%s.begin(), %s.end(),", S.Name.c_str(),
+    line("steno::rt::stableSort(%s.data(), %s.size(),", S.Name.c_str(),
          S.Name.c_str());
     line("    [&](const %s &A_, const %s &B_) {",
          S.Ty->cxxName().c_str(), S.Ty->cxxName().c_str());
@@ -421,6 +387,41 @@ private:
 };
 
 } // namespace
+
+std::string cpptree::printPrelude(const std::string &Generator,
+                                  const std::string &Entry,
+                                  const SlotUsage &Slots,
+                                  std::size_t NumProfOps) {
+  std::string Out = strFormat("// Generated by Steno (%s).\n"
+                              "// Query entry point: %s\n"
+                              "#include \"steno/Rt.h\"\n"
+                              "\n"
+                              "extern \"C\" void %s(const steno::rt::Captures "
+                              "*Caps_,\n"
+                              "                     steno::rt::Emitter "
+                              "*Out_) {\n"
+                              "  (void)Caps_;\n"
+                              "  (void)Out_;\n",
+                              Generator.c_str(), Entry.c_str(),
+                              Entry.c_str());
+  for (unsigned Slot : Slots.SourceSlots)
+    Out += strFormat(
+        "  const double *src%u_d = Caps_->Sources[%u].D;\n"
+        "  const std::int64_t *src%u_i = Caps_->Sources[%u].I;\n"
+        "  const std::int64_t src%u_count = Caps_->Sources[%u].Count;\n"
+        "  const std::int64_t src%u_dim = Caps_->Sources[%u].Dim;\n"
+        "  (void)src%u_d; (void)src%u_i; (void)src%u_count; "
+        "(void)src%u_dim;\n",
+        Slot, Slot, Slot, Slot, Slot, Slot, Slot, Slot, Slot, Slot, Slot,
+        Slot);
+  // Per-run profile accumulators: stack-local, non-atomic, flushed once
+  // through Captures at exit so the hot loop never shares.
+  if (NumProfOps)
+    Out += strFormat("  std::uint64_t prof_c_[%zu] = {};\n"
+                     "  std::uint64_t prof_ns_[%zu] = {};\n",
+                     NumProfOps * 2, NumProfOps);
+  return Out;
+}
 
 std::string cpptree::printProgram(const Program &P) {
   return SourcePrinter(P).run();

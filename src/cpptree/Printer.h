@@ -36,6 +36,16 @@ SlotUsage scanSlots(const Program &P);
 /// Renders \p P as a complete C++ source file.
 std::string printProgram(const Program &P);
 
+/// The opening every generated translation unit shares, whichever code
+/// generator prints the body: a banner naming \p Generator, the one
+/// include (steno/Rt.h, the generated-code header contract), the extern
+/// "C" entry signature, the source-binding locals of \p Slots and, when
+/// \p NumProfOps is non-zero, the profile accumulator arrays. The body
+/// continues at one level of indentation.
+std::string printPrelude(const std::string &Generator,
+                         const std::string &Entry, const SlotUsage &Slots,
+                         std::size_t NumProfOps);
+
 } // namespace cpptree
 } // namespace steno
 

@@ -2,6 +2,7 @@
 
 #include "expr/Analysis.h"
 #include "support/Error.h"
+#include "support/StringUtil.h"
 
 #include <cassert>
 #include <cstdint>
@@ -137,15 +138,6 @@ std::uint64_t combine(std::uint64_t H, std::uint64_t V) {
   return H;
 }
 
-std::uint64_t hashString(const std::string &S) {
-  std::uint64_t H = 1469598103934665603ULL;
-  for (char C : S) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
-
 } // namespace
 
 std::uint64_t expr::hashType(const Type &Ty) {
@@ -178,7 +170,7 @@ std::uint64_t expr::hashExpr(const Expr &E) {
     break;
   }
   case ExprKind::Param:
-    H = combine(H, hashString(E.paramName()));
+    H = combine(H, support::fnv1a(E.paramName()));
     break;
   case ExprKind::Capture:
     H = combine(H, E.captureSlot());
@@ -255,7 +247,7 @@ std::uint64_t expr::hashLambda(const Lambda &L) {
     return 0;
   std::uint64_t H = L.arity() + 0x51ed270b;
   for (const LambdaParam &P : L.params()) {
-    H = combine(H, hashString(P.Name));
+    H = combine(H, support::fnv1a(P.Name));
     H = combine(H, hashType(*P.Ty));
   }
   return combine(H, hashExpr(*L.body()));

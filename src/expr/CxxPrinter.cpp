@@ -5,6 +5,7 @@
 #include "support/StringUtil.h"
 
 #include <cassert>
+#include <cstdint>
 
 using namespace steno;
 using namespace steno::expr;
@@ -17,10 +18,14 @@ std::string printConst(const Expr &E) {
   const ConstValue &C = E.constValue();
   if (std::holds_alternative<bool>(C))
     return std::get<bool>(C) ? "true" : "false";
-  if (std::holds_alternative<std::int64_t>(C))
-    return support::strFormat("INT64_C(%lld)",
-                              static_cast<long long>(
-                                  std::get<std::int64_t>(C)));
+  if (std::holds_alternative<std::int64_t>(C)) {
+    std::int64_t V = std::get<std::int64_t>(C);
+    // 9223372036854775808 overflows int64, so the minimum has no literal
+    // (g++ would warn that the negated constant is unsigned).
+    if (V == INT64_MIN)
+      return "INT64_MIN";
+    return support::strFormat("INT64_C(%lld)", static_cast<long long>(V));
+  }
   return support::doubleLiteral(std::get<double>(C));
 }
 
@@ -37,9 +42,9 @@ std::string printBinary(const Expr &E, const CxxNames &Names) {
   BinaryOp Op = E.binaryOp();
   std::string L = print(*E.operand(0), Names);
   std::string R = print(*E.operand(1), Names);
-  // Double modulo maps to std::fmod; everything else is the operator.
+  // Double modulo maps to rt::fmod; everything else is the operator.
   if (Op == BinaryOp::Mod && E.type()->isDouble())
-    return "std::fmod(" + L + ", " + R + ")";
+    return "steno::rt::fmod(" + L + ", " + R + ")";
   if ((Op == BinaryOp::Div || Op == BinaryOp::Mod) &&
       E.type()->isInt64() && !E.divSafe() &&
       !isProvablyNonzeroConst(*E.operand(1)))

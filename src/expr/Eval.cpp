@@ -140,16 +140,19 @@ Value evalCall(const Expr &E, const Env &Environment) {
   case Builtin::Min:
   case Builtin::Max: {
     Value A1 = evalExpr(*E.operand(1), Environment);
+    // std::min/std::max's operand order in every tier — min(A, B) is
+    // B < A ? B : A and max(A, B) is A < B ? B : A — so NaN and signed
+    // zero operands give what the native steno::rt::min/max give.
     if (A0.isInt64() && A1.isInt64()) {
       std::int64_t A = A0.asInt64();
       std::int64_t B = A1.asInt64();
-      bool TakeA = Fn == Builtin::Min ? A < B : A > B;
-      return Value(TakeA ? A : B);
+      bool TakeB = Fn == Builtin::Min ? B < A : A < B;
+      return Value(TakeB ? B : A);
     }
     double A = A0.asNumericDouble();
     double B = A1.asNumericDouble();
-    bool TakeA = Fn == Builtin::Min ? A < B : A > B;
-    return Value(TakeA ? A : B);
+    bool TakeB = Fn == Builtin::Min ? B < A : A < B;
+    return Value(TakeB ? B : A);
   }
   case Builtin::Pow: {
     Value A1 = evalExpr(*E.operand(1), Environment);

@@ -123,23 +123,23 @@ const char *expr::binaryOpSpelling(BinaryOp Op) {
 const char *expr::builtinSpelling(Builtin Fn) {
   switch (Fn) {
   case Builtin::Sqrt:
-    return "std::sqrt";
+    return "steno::rt::sqrt";
   case Builtin::Abs:
-    return "std::abs";
+    return "steno::rt::abs";
   case Builtin::Min:
-    return "std::min";
+    return "steno::rt::min";
   case Builtin::Max:
-    return "std::max";
+    return "steno::rt::max";
   case Builtin::Floor:
-    return "std::floor";
+    return "steno::rt::floor";
   case Builtin::Ceil:
-    return "std::ceil";
+    return "steno::rt::ceil";
   case Builtin::Exp:
-    return "std::exp";
+    return "steno::rt::exp";
   case Builtin::Log:
-    return "std::log";
+    return "steno::rt::log";
   case Builtin::Pow:
-    return "std::pow";
+    return "steno::rt::pow";
   }
   stenoUnreachable("bad Builtin");
 }

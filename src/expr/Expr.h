@@ -163,7 +163,8 @@ bool isComparison(BinaryOp Op);
 bool isArithmetic(BinaryOp Op);
 /// Spelling of a binary operator as it appears in C++ source ("+", "==", ...).
 const char *binaryOpSpelling(BinaryOp Op);
-/// Spelling of a builtin's C++ callee ("std::sqrt", ...).
+/// Spelling of a builtin's C++ callee in generated code ("steno::rt::sqrt",
+/// ...): the inline wrappers of steno/Rt.h, not <cmath>/<algorithm>.
 const char *builtinSpelling(Builtin Fn);
 
 } // namespace expr

@@ -146,6 +146,12 @@ CompiledModule::load(const std::string &SharedObjectPath,
   return Module;
 }
 
+std::uint64_t jit::runtimeHeaderHash() {
+  static const std::uint64_t Hash = support::fnv1a(support::readFileOrEmpty(
+      std::string(STENO_SOURCE_INCLUDE) + "/steno/Rt.h"));
+  return Hash;
+}
+
 //===----------------------------------------------------------------===//
 // Execution: binding and row decoding
 //===----------------------------------------------------------------===//

@@ -72,6 +72,11 @@ private:
   std::string SoPath;
 };
 
+/// FNV-1a hash of the text of steno/Rt.h as the JIT compiles against it
+/// (read once from the source tree). Stored artifacts key on it, so an
+/// object built against an older runtime header is never reloaded.
+std::uint64_t runtimeHeaderHash();
+
 /// Rows collected from one native execution. Vec payloads are copied into
 /// Arena during emission (the emitter callback), so rows outlive the
 /// query's internal sinks.

@@ -15,6 +15,7 @@
 
 #include "quil/Quil.h"
 #include "expr/Analysis.h"
+#include "support/StringUtil.h"
 
 #include <cstdint>
 
@@ -36,15 +37,6 @@ std::uint64_t hashMaybeExpr(const expr::ExprRef &E) {
 
 std::uint64_t hashMaybeLambda(const expr::Lambda &L) {
   return L.valid() ? hashLambda(L) : 0x1b2d;
-}
-
-std::uint64_t hashString(const std::string &S) {
-  std::uint64_t H = 1469598103934665603ULL; // FNV-1a
-  for (char C : S) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 1099511628211ULL;
-  }
-  return H;
 }
 
 std::uint64_t hashSource(const query::SourceDesc &Src) {
@@ -84,7 +76,7 @@ std::uint64_t hashOp(const Op &O) {
   if (O.NestedChain) {
     H = combine(H, hashChain(*O.NestedChain));
     H = combine(H, static_cast<std::uint64_t>(O.Role) + 0x33);
-    H = combine(H, hashString(O.OuterParam));
+    H = combine(H, support::fnv1a(O.OuterParam));
   }
   return H;
 }

@@ -10,6 +10,7 @@
 #include "quil/Quil.h"
 #include "support/Timing.h"
 
+#include <chrono>
 #include <cstdio>
 #include <future>
 

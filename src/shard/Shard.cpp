@@ -11,11 +11,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cstdio>
 #include <optional>
 #include <sstream>
 #include <thread>
 #include <unistd.h>
+#include <unordered_map>
 
 using namespace steno;
 using namespace steno::shard;
@@ -39,15 +41,6 @@ struct ShardMetrics {
 ShardMetrics &metrics() {
   static ShardMetrics M;
   return M;
-}
-
-std::uint64_t fnv1a(const std::string &S) {
-  std::uint64_t H = 1469598103934665603ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
 }
 
 /// WireClient::prepare reports both semantic rejections and transport
@@ -158,8 +151,8 @@ ShardRouter::ShardRouter(const RouterOptions &O)
         "shard" + std::to_string(I) + ".latency_us",
         {10, 100, 1e3, 1e4, 1e5, 1e6, 1e7}));
     for (unsigned V = 0; V != 16; ++V)
-      Ring.emplace_back(fnv1a("shard:" + std::to_string(I) + ":" +
-                              std::to_string(V)),
+      Ring.emplace_back(support::fnv1a("shard:" + std::to_string(I) + ":" +
+                                       std::to_string(V)),
                         I);
   }
   std::sort(Ring.begin(), Ring.end());
@@ -217,7 +210,7 @@ RoutedHandle ShardRouter::prepare(const std::string &SpecText,
 
   // Home shard for the fallback path: consistent hash of the spec text
   // onto the virtual-point ring.
-  std::uint64_t H = fnv1a(SpecText);
+  std::uint64_t H = support::fnv1a(SpecText);
   auto It = std::lower_bound(
       Ring.begin(), Ring.end(), std::make_pair(H, 0u),
       [](const auto &A, const auto &B) { return A.first < B.first; });

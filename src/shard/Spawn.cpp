@@ -3,6 +3,7 @@
 #include "shard/Spawn.h"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <signal.h>
 #include <sys/socket.h>

@@ -49,13 +49,21 @@ std::string support::sanitizeIdentifier(const std::string &Name) {
 
 std::string support::doubleLiteral(double Value) {
   if (std::isnan(Value))
-    return "std::numeric_limits<double>::quiet_NaN()";
+    return "steno::rt::quiet_NaN()";
   if (std::isinf(Value))
-    return Value > 0 ? "std::numeric_limits<double>::infinity()"
-                     : "(-std::numeric_limits<double>::infinity())";
+    return Value > 0 ? "steno::rt::infinity()" : "(-steno::rt::infinity())";
   std::string Out = strFormat("%.17g", Value);
   bool LooksIntegral = Out.find_first_of(".eE") == std::string::npos;
   if (LooksIntegral)
     Out += ".0";
   return Out;
+}
+
+std::uint64_t support::fnv1a(const std::string &S) {
+  std::uint64_t H = 1469598103934665603ULL;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 1099511628211ULL;
+  }
+  return H;
 }

@@ -9,6 +9,7 @@
 #ifndef STENO_SUPPORT_STRINGUTIL_H
 #define STENO_SUPPORT_STRINGUTIL_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,12 @@ std::string sanitizeIdentifier(const std::string &Name);
 
 /// Formats a double as a C++ literal that round-trips exactly (uses %.17g and
 /// appends ".0" when the result would otherwise parse as an integer literal).
+/// NaN and the infinities print as calls into steno/Rt.h, the one header
+/// generated code includes.
 std::string doubleLiteral(double Value);
+
+/// 64-bit FNV-1a hash of \p S's bytes.
+std::uint64_t fnv1a(const std::string &S);
 
 } // namespace support
 } // namespace steno

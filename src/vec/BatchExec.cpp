@@ -497,18 +497,18 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
           case VReduceOp::Mul:
             L.forEach([&](std::int64_t I) { A *= G.D[I]; });
             break;
-          // Min/Max replicate evalCall's TakeA comparison with the
-          // original operand order, so NaN handling matches scalar.
+          // Min/Max replicate evalCall's comparison with the original
+          // operand order, so NaN handling matches scalar.
           case VReduceOp::Min:
             L.forEach([&](std::int64_t I) {
               double X = G.D[I];
-              A = AF ? (A < X ? A : X) : (X < A ? X : A);
+              A = AF ? (X < A ? X : A) : (A < X ? A : X);
             });
             break;
           case VReduceOp::Max:
             L.forEach([&](std::int64_t I) {
               double X = G.D[I];
-              A = AF ? (A > X ? A : X) : (X > A ? X : A);
+              A = AF ? (A < X ? X : A) : (X < A ? A : X);
             });
             break;
           }

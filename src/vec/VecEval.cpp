@@ -438,16 +438,16 @@ Col evalCallVec(const VecExpr &N, const EvalCtx &Ctx, const Lanes &L) {
       std::int64_t *O = Ctx.Scr->col().i64(Bn);
       L.forEach([&](std::int64_t I) {
         std::int64_t X = A0.I[I], Y = A1.I[I];
-        bool TakeA = IsMin ? X < Y : X > Y;
-        O[I] = TakeA ? X : Y;
+        bool TakeY = IsMin ? Y < X : X < Y; // evalCall's operand order
+        O[I] = TakeY ? Y : X;
       });
       return Col::i64(O);
     }
     double *O = Ctx.Scr->col().dbl(Bn);
     L.forEach([&](std::int64_t I) {
       double X = numAt(A0, I), Y = numAt(A1, I);
-      bool TakeA = IsMin ? X < Y : X > Y;
-      O[I] = TakeA ? X : Y;
+      bool TakeY = IsMin ? Y < X : X < Y;
+      O[I] = TakeY ? Y : X;
     });
     return Col::dbl(O);
   }

@@ -397,6 +397,35 @@ TEST(PersistentCacheTest, OptionsKeyEntriesSeparately) {
   EXPECT_EQ(Cache.hits(), 1u);
 }
 
+TEST(PersistentCacheTest, ProfileIsPartOfTheKey) {
+  // A profiled TU and a plain one are different artifacts: neither may
+  // be rehydrated for the other, in either order.
+  CompileOptions Profiled;
+  Profiled.Profile = true;
+  CompileOptions Plain;
+  Plain.Profile = false;
+  {
+    PersistentQueryCache Cache(freshCacheDir("prof_first"));
+    CompiledQuery P = Cache.getOrCompile(sumSq(), Profiled);
+    CompiledQuery U = Cache.getOrCompile(sumSq(), Plain);
+    EXPECT_EQ(Cache.misses(), 2u);
+    EXPECT_EQ(Cache.hits(), 0u);
+    EXPECT_TRUE(P.profiled());
+    EXPECT_NE(P.generatedSource().find("prof_c_"), std::string::npos);
+    EXPECT_EQ(U.generatedSource().find("prof_c_"), std::string::npos)
+        << "the unprofiled request got the profiled TU";
+  }
+  {
+    PersistentQueryCache Cache(freshCacheDir("plain_first"));
+    Cache.getOrCompile(sumSq(), Plain);
+    CompiledQuery P = Cache.getOrCompile(sumSq(), Profiled);
+    EXPECT_EQ(Cache.misses(), 2u);
+    EXPECT_TRUE(P.profiled())
+        << "the profiled request rehydrated the unprofiled TU and would "
+           "record no profile";
+  }
+}
+
 TEST(PersistentCacheTest, CorruptEntryRecompiles) {
   std::string Dir = freshCacheDir("corrupt");
   {

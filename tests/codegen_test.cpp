@@ -175,7 +175,7 @@ TEST(Codegen, OrderBySortsAtOmega) {
   Query Q = Query::doubleArray(0).orderBy(lambda({x()}, x())).toArray();
   std::string Src = sourceFor(Q);
   size_t FillLoop = Src.find("for (");
-  size_t Sort = Src.find("std::stable_sort");
+  size_t Sort = Src.find("steno::rt::stableSort");
   ASSERT_NE(Sort, std::string::npos) << Src;
   EXPECT_GT(Sort, FillLoop) << "sort in the postlude, after the fill loop";
 }

@@ -65,7 +65,7 @@ TEST(Cse, MaximalSubtreeWins) {
   // sqrt(x*x+1) twice: hoist the whole sqrt, not x*x separately.
   CseResult R = runCse(sqrt(X * X + 1.0) * sqrt(X * X + 1.0));
   ASSERT_EQ(R.Lets.size(), 1u);
-  EXPECT_EQ(R.Lets[0].second->str(), "std::sqrt(((x * x) + 1))");
+  EXPECT_EQ(R.Lets[0].second->str(), "steno::rt::sqrt(((x * x) + 1))");
   Value V = evalResult(R, "x", Value(2.0));
   EXPECT_DOUBLE_EQ(V.asDouble(), 5.0);
 }

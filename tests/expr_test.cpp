@@ -368,6 +368,7 @@ std::string printed(const E &Handle) {
 
 TEST(ExprPrint, Literals) {
   EXPECT_EQ(printed(E(42)), "INT64_C(42)");
+  EXPECT_EQ(printed(E(INT64_MIN)), "INT64_MIN");
   EXPECT_EQ(printed(E(true)), "true");
   EXPECT_EQ(printed(E(2.0)), "2.0");
 }
@@ -381,7 +382,7 @@ TEST(ExprPrint, Arithmetic) {
 
 TEST(ExprPrint, DoubleModuloIsFmod) {
   E X = param("x", Type::doubleTy());
-  EXPECT_EQ(printed(X % 2.0), "std::fmod(x, 2.0)");
+  EXPECT_EQ(printed(X % 2.0), "steno::rt::fmod(x, 2.0)");
 }
 
 TEST(ExprPrint, ConvertIsStaticCast) {
@@ -391,8 +392,8 @@ TEST(ExprPrint, ConvertIsStaticCast) {
 
 TEST(ExprPrint, BuiltinSpelling) {
   E X = param("x", Type::doubleTy());
-  EXPECT_EQ(printed(sqrt(X)), "std::sqrt(x)");
-  EXPECT_EQ(printed(min(X, E(1.0))), "std::min(x, 1.0)");
+  EXPECT_EQ(printed(sqrt(X)), "steno::rt::sqrt(x)");
+  EXPECT_EQ(printed(min(X, E(1.0))), "steno::rt::min(x, 1.0)");
 }
 
 TEST(ExprPrint, PairAndVec) {

@@ -119,14 +119,14 @@ TEST(Printer, SinkDeclarations) {
   EXPECT_NE(
       Src.find("steno::rt::DenseAggSink<double> d(INT64_C(16), 0.0);"),
       std::string::npos);
-  EXPECT_NE(Src.find("std::vector<std::int64_t> v;"), std::string::npos);
+  EXPECT_NE(Src.find("steno::rt::Buf<std::int64_t> v;"), std::string::npos);
 }
 
 TEST(Printer, SortUsesStableSortWithInlinedKey) {
   auto K = param("k", Type::doubleTy());
   std::string Src = printOf({Stmt::sortSinkVec(
       "s", Type::doubleTy(), lambda({K}, -K), false)});
-  EXPECT_NE(Src.find("std::stable_sort(s.begin(), s.end(),"),
+  EXPECT_NE(Src.find("steno::rt::stableSort(s.data(), s.size(),"),
             std::string::npos)
       << Src;
   EXPECT_NE(Src.find("return (-(A_)) < (-(B_));"), std::string::npos)

@@ -20,6 +20,7 @@
 #include "steno/RefExec.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>

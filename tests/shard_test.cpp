@@ -20,6 +20,7 @@
 #include "shard/Shard.h"
 #include "steno/RefExec.h"
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>

@@ -28,6 +28,7 @@
 #include "shard/Spawn.h"
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>

@@ -20,6 +20,7 @@
 #include "serve/Wire.h"
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
