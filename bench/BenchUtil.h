@@ -60,6 +60,27 @@ inline double bestSeconds(const std::function<void()> &Fn, int Reps = 3) {
   return Best;
 }
 
+/// Best-of-\p Reps wall-clock seconds for each of \p Fns, timed
+/// interleaved: one untimed warmup of each, then one run of each per
+/// repetition, so CPU-frequency drift hits every variant alike. Use it
+/// where the ratio of the variants is what gets reported or gated.
+inline std::vector<double>
+bestSecondsInterleaved(const std::vector<std::function<void()>> &Fns,
+                       int Reps) {
+  for (const std::function<void()> &Fn : Fns)
+    Fn();
+  std::vector<double> Best(Fns.size(), 1e300);
+  for (int I = 0; I < Reps; ++I)
+    for (std::size_t J = 0; J != Fns.size(); ++J) {
+      support::WallTimer T;
+      Fns[J]();
+      double S = T.seconds();
+      if (S < Best[J])
+        Best[J] = S;
+    }
+  return Best;
+}
+
 /// Defeats dead-code elimination of a computed value.
 inline void doNotOptimize(double V) {
   __asm__ __volatile__("" : : "g"(V) : "memory");

@@ -6,7 +6,10 @@
 // to LINQ = 100%; the for loop and Steno land at 13.5% / 13.6%.
 //
 // This binary reports the same three bars (plus the static fused variant)
-// normalized the same way.
+// normalized the same way, timing the variants interleaved so their
+// ratios are robust to CPU-frequency drift. Gate (CI bench-smoke): exits
+// 1 when the default-configuration Steno query is more than 10% slower
+// than the for loop — the paper's headline is that they match.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,22 +30,6 @@ int main() {
   header("Figure 1: sum of squares of " + std::to_string(N) +
          " doubles");
 
-  // LINQ: xs.Select(x => x * x).Sum() through lazy iterators.
-  double LinqS = bestSeconds([&] {
-    double V = linq::fromSpan(Xs.data(), Xs.size())
-                   .select([](double X) { return X * X; })
-                   .sum();
-    doNotOptimize(V);
-  });
-
-  // Imperative for loop.
-  double LoopS = bestSeconds([&] {
-    double Acc = 0;
-    for (double X : Xs)
-      Acc += X * X;
-    doNotOptimize(Acc);
-  });
-
   // Steno: the declarative query, optimized and JIT-compiled once (the
   // figure's Steno bar excludes the one-off compilation, which §7.1
   // reports separately; we print it for reference).
@@ -55,17 +42,33 @@ int main() {
   CompiledQuery CQ = compileQuery(Q, {});
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), N);
-  double StenoS = bestSeconds([&] {
-    doNotOptimize(CQ.run(B).scalarValue().asDouble());
-  });
 
-  // Static fused (the §9 compile-time endpoint).
-  double FusedS = bestSeconds([&] {
-    double V = fused::from(Xs) |
-               fused::select([](double V2) { return V2 * V2; }) |
-               fused::sum();
-    doNotOptimize(V);
-  });
+  std::vector<double> Best = bestSecondsInterleaved(
+      {// LINQ: xs.Select(x => x * x).Sum() through lazy iterators.
+       [&] {
+         double V = linq::fromSpan(Xs.data(), Xs.size())
+                        .select([](double X) { return X * X; })
+                        .sum();
+         doNotOptimize(V);
+       },
+       // Imperative for loop.
+       [&] {
+         double Acc = 0;
+         for (double X : Xs)
+           Acc += X * X;
+         doNotOptimize(Acc);
+       },
+       [&] { doNotOptimize(CQ.run(B).scalarValue().asDouble()); },
+       // Static fused (the §9 compile-time endpoint).
+       [&] {
+         double V = fused::from(Xs) |
+                    fused::select([](double V2) { return V2 * V2; }) |
+                    fused::sum();
+         doNotOptimize(V);
+       }},
+      /*Reps=*/9);
+  double LinqS = Best[0], LoopS = Best[1], StenoS = Best[2],
+         FusedS = Best[3];
 
   std::printf("\n%-22s %12s %14s %10s\n", "variant", "time (ms)",
               "rel. to LINQ", "speedup");
@@ -88,5 +91,16 @@ int main() {
   Json.add("for_loop", LoopS, N);
   Json.add("steno_jit", StenoS, N);
   Json.add("static_fused", FusedS, N);
+
+  double Pct = 100.0 * (StenoS / LoopS - 1.0);
+  std::printf("Steno-vs-for-loop overhead: %+.1f%% (gate: <= +10%%)\n",
+              Pct);
+  if (Pct > 10.0) {
+    std::fprintf(stderr,
+                 "fig01_sumsq: FAIL: Steno is %+.1f%% over the for loop, "
+                 "above the +10%% gate\n",
+                 Pct);
+    return 1;
+  }
   return 0;
 }

@@ -16,16 +16,21 @@
 // LINQ variant finishes in seconds on one core; scale with
 // STENO_BENCH_SCALE.
 //
+// Hand code and Steno (excl. compilation) are timed interleaved, so the
+// overhead ratio is robust to CPU-frequency drift. Gate (CI bench-smoke):
+// exits 1 when the default-configuration Steno-vs-hand overhead exceeds
+// +10% for Sum, SumSq or Cart, or +15% for Group.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "support/Timing.h"
 #include "expr/Dsl.h"
 #include "linq/Linq.h"
 #include "steno/Steno.h"
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <unordered_map>
 
 using namespace steno;
@@ -63,61 +68,60 @@ void report(const char *Name, const Result &R, JsonReport &Json,
   Json.add(Prefix + "hand", R.HandS, Items);
 }
 
-/// Times the Steno path both with and without the one-off compilation.
-void timeSteno(const Query &Q, const Bindings &B, Result &R,
-               int Reps = 3) {
-  // Including compilation: compile + one run, fresh each repetition.
-  R.StenoInclS = bestSeconds(
+/// Times Steno including the one-off compilation: compile + one run,
+/// fresh each repetition.
+double stenoInclSeconds(const Query &Q, const Bindings &B) {
+  return bestSeconds(
       [&] {
         CompiledQuery CQ = compileQuery(Q, {});
-        doNotOptimize(
-            static_cast<double>(CQ.run(B).rows().size()));
-      },
-      /*Reps=*/2);
-  // Excluding compilation: reuse the cached compiled query (§7.1).
-  CompiledQuery CQ = compileQuery(Q, {});
-  R.StenoExclS = bestSeconds(
-      [&] {
         doNotOptimize(static_cast<double>(CQ.run(B).rows().size()));
       },
-      Reps);
+      /*Reps=*/2);
+}
+
+/// Times LINQ, hand code and Steno excluding compilation (the cached
+/// compiled query of §7.1) interleaved over \p Reps repetitions, then
+/// Steno including compilation. An empty \p Linq is timed separately by
+/// the caller (too slow to interleave).
+Result timeVariants(const Query &Q, const Bindings &B,
+                    const std::function<void()> &Linq,
+                    const std::function<void()> &Hand, int Reps) {
+  CompiledQuery CQ = compileQuery(Q, {});
+  std::vector<std::function<void()>> Fns = {
+      Hand,
+      [&] { doNotOptimize(static_cast<double>(CQ.run(B).rows().size())); }};
+  if (Linq)
+    Fns.push_back(Linq);
+  std::vector<double> Best = bestSecondsInterleaved(Fns, Reps);
+  Result R;
+  R.HandS = Best[0];
+  R.StenoExclS = Best[1];
+  if (Linq)
+    R.LinqS = Best[2];
+  R.StenoInclS = stenoInclSeconds(Q, B);
+  return R;
 }
 
 //===--------------------------------------------------------------------===//
 // Sum
 //===--------------------------------------------------------------------===//
 
+// Sub-15ms measurements drift with CPU frequency on shared VMs, so the
+// three cheap variants run interleaved nine times and best-of is taken
+// per variant.
 Result runSum(const std::vector<double> &Xs) {
-  // Sub-15ms measurements drift with CPU frequency on this box, so the
-  // three cheap variants are timed INTERLEAVED per repetition (drift
-  // affects them equally) and best-of is taken per variant.
-  Result R;
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
-  Query Q = Query::doubleArray(0).sum();
-  CompiledQuery CQ = compileQuery(Q, {});
-  R.LinqS = R.HandS = R.StenoExclS = 1e300;
-  for (int Rep = 0; Rep < 9; ++Rep) {
-    support::WallTimer T;
-    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size()).sum());
-    R.LinqS = std::min(R.LinqS, T.seconds());
-    T.reset();
-    double Acc = 0;
-    for (double X : Xs)
-      Acc += X;
-    doNotOptimize(Acc);
-    R.HandS = std::min(R.HandS, T.seconds());
-    T.reset();
-    doNotOptimize(CQ.run(B).scalarValue().asDouble());
-    R.StenoExclS = std::min(R.StenoExclS, T.seconds());
-  }
-  R.StenoInclS = bestSeconds(
+  return timeVariants(
+      Query::doubleArray(0).sum(), B,
+      [&] { doNotOptimize(linq::fromSpan(Xs.data(), Xs.size()).sum()); },
       [&] {
-        CompiledQuery Fresh = compileQuery(Q, {});
-        doNotOptimize(Fresh.run(B).scalarValue().asDouble());
+        double Acc = 0;
+        for (double X : Xs)
+          Acc += X;
+        doNotOptimize(Acc);
       },
-      2);
-  return R;
+      /*Reps=*/9);
 }
 
 //===--------------------------------------------------------------------===//
@@ -125,36 +129,23 @@ Result runSum(const std::vector<double> &Xs) {
 //===--------------------------------------------------------------------===//
 
 Result runSumSq(const std::vector<double> &Xs) {
-  Result R;
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
   auto X = param("x", Type::doubleTy());
-  Query Q = Query::doubleArray(0).select(lambda({X}, X * X)).sum();
-  CompiledQuery CQ = compileQuery(Q, {});
-  R.LinqS = R.HandS = R.StenoExclS = 1e300;
-  for (int Rep = 0; Rep < 9; ++Rep) {
-    support::WallTimer T;
-    doNotOptimize(linq::fromSpan(Xs.data(), Xs.size())
-                      .select([](double V) { return V * V; })
-                      .sum());
-    R.LinqS = std::min(R.LinqS, T.seconds());
-    T.reset();
-    double Acc = 0;
-    for (double V : Xs)
-      Acc += V * V;
-    doNotOptimize(Acc);
-    R.HandS = std::min(R.HandS, T.seconds());
-    T.reset();
-    doNotOptimize(CQ.run(B).scalarValue().asDouble());
-    R.StenoExclS = std::min(R.StenoExclS, T.seconds());
-  }
-  R.StenoInclS = bestSeconds(
+  return timeVariants(
+      Query::doubleArray(0).select(lambda({X}, X * X)).sum(), B,
       [&] {
-        CompiledQuery Fresh = compileQuery(Q, {});
-        doNotOptimize(Fresh.run(B).scalarValue().asDouble());
+        doNotOptimize(linq::fromSpan(Xs.data(), Xs.size())
+                          .select([](double V) { return V * V; })
+                          .sum());
       },
-      2);
-  return R;
+      [&] {
+        double Acc = 0;
+        for (double V : Xs)
+          Acc += V * V;
+        doNotOptimize(Acc);
+      },
+      /*Reps=*/9);
 }
 
 //===--------------------------------------------------------------------===//
@@ -163,7 +154,25 @@ Result runSumSq(const std::vector<double> &Xs) {
 
 Result runCart(const std::vector<double> &Xs,
                const std::vector<double> &Ys) {
-  Result R;
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  B.bindDoubleArray(1, Ys.data(), static_cast<std::int64_t>(Ys.size()));
+  auto X = param("x", Type::doubleTy());
+  auto Y = param("y", Type::doubleTy());
+  Query Q = Query::doubleArray(0)
+                .selectMany(X, Query::doubleArray(1)
+                                   .select(lambda({Y}, X * Y)))
+                .sum();
+  Result R = timeVariants(
+      Q, B, nullptr,
+      [&] {
+        double Acc = 0;
+        for (double X : Xs)
+          for (double Y : Ys)
+            Acc += X * Y;
+        doNotOptimize(Acc);
+      },
+      /*Reps=*/3);
   R.LinqS = bestSeconds(
       [&] {
         double V = linq::fromSpan(Xs.data(), Xs.size())
@@ -175,23 +184,6 @@ Result runCart(const std::vector<double> &Xs,
         doNotOptimize(V);
       },
       /*Reps=*/2);
-  R.HandS = bestSeconds([&] {
-    double Acc = 0;
-    for (double X : Xs)
-      for (double Y : Ys)
-        Acc += X * Y;
-    doNotOptimize(Acc);
-  });
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
-  B.bindDoubleArray(1, Ys.data(), static_cast<std::int64_t>(Ys.size()));
-  auto X = param("x", Type::doubleTy());
-  auto Y = param("y", Type::doubleTy());
-  Query Q = Query::doubleArray(0)
-                .selectMany(X, Query::doubleArray(1)
-                                   .select(lambda({Y}, X * Y)))
-                .sum();
-  timeSteno(Q, B, R, /*Reps=*/2);
   return R;
 }
 
@@ -200,8 +192,31 @@ Result runCart(const std::vector<double> &Xs,
 //===--------------------------------------------------------------------===//
 
 Result runGroup(const std::vector<double> &Xs) {
-  const std::int64_t Bins = 1000;
-  Result R;
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  auto X = param("x", Type::doubleTy());
+  auto G = param("g", Type::pairTy(Type::int64Ty(), Type::vecTy()));
+  auto C = param("c", Type::int64Ty());
+  auto V = param("v", Type::doubleTy());
+  Query BagCount = Query::overVec(G.second())
+                       .aggregate(E(0), lambda({C, V}, C + 1),
+                                  lambda({C}, pair(G.first(), C)));
+  Query Q = Query::doubleArray(0)
+                .groupBy(lambda({X}, toInt64(X)))
+                .selectNested(G, BagCount);
+  // Hand-optimized: one pass with a hash map from bin to count — what a
+  // programmer writes when the key range is not statically known (the
+  // generated GroupByAggregate sink is also hash-based; the dense-array
+  // variant for known key ranges is measured in abl_groupby).
+  Result R = timeVariants(
+      Q, B, nullptr,
+      [&] {
+        std::unordered_map<std::int64_t, std::int64_t> Counts;
+        for (double X : Xs)
+          ++Counts[static_cast<std::int64_t>(X)];
+        doNotOptimize(static_cast<std::int64_t>(Counts.size()));
+      },
+      /*Reps=*/3);
   // LINQ: GroupBy with a counting result selector (bags materialized, as
   // unoptimized LINQ does).
   R.LinqS = bestSeconds(
@@ -222,31 +237,20 @@ Result runGroup(const std::vector<double> &Xs) {
         doNotOptimize(static_cast<std::int64_t>(Rows.size()));
       },
       /*Reps=*/2);
-  // Hand-optimized: one pass with a hash map from bin to count — what a
-  // programmer writes when the key range is not statically known (the
-  // generated GroupByAggregate sink is also hash-based; the dense-array
-  // variant for known key ranges is measured in abl_groupby).
-  (void)Bins;
-  R.HandS = bestSeconds([&] {
-    std::unordered_map<std::int64_t, std::int64_t> Counts;
-    for (double X : Xs)
-      ++Counts[static_cast<std::int64_t>(X)];
-    doNotOptimize(static_cast<std::int64_t>(Counts.size()));
-  });
-  Bindings B;
-  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
-  auto X = param("x", Type::doubleTy());
-  auto G = param("g", Type::pairTy(Type::int64Ty(), Type::vecTy()));
-  auto C = param("c", Type::int64Ty());
-  auto V = param("v", Type::doubleTy());
-  Query BagCount = Query::overVec(G.second())
-                       .aggregate(E(0), lambda({C, V}, C + 1),
-                                  lambda({C}, pair(G.first(), C)));
-  Query Q = Query::doubleArray(0)
-                .groupBy(lambda({X}, toInt64(X)))
-                .selectNested(G, BagCount);
-  timeSteno(Q, B, R, /*Reps=*/2);
   return R;
+}
+
+/// The Steno-vs-hand gate: false (with a FAIL line) when \p R's overhead
+/// exceeds \p MaxPct percent.
+bool withinGate(const char *Name, const Result &R, double MaxPct) {
+  double Pct = 100.0 * (R.StenoExclS / R.HandS - 1.0);
+  if (Pct <= MaxPct)
+    return true;
+  std::fprintf(stderr,
+               "fig13_micro: FAIL: %s Steno-vs-hand overhead %+.1f%% above "
+               "the +%.0f%% gate\n",
+               Name, Pct, MaxPct);
+  return false;
 }
 
 } // namespace
@@ -265,18 +269,28 @@ int main() {
   JsonReport Json("fig13_micro");
 
   std::vector<double> Uniform = uniformDoubles(N, 2);
-  report("Sum", runSum(Uniform), Json, N);
-  report("SumSq", runSumSq(Uniform), Json, N);
+  Result Sum = runSum(Uniform);
+  report("Sum", Sum, Json, N);
+  Result SumSq = runSumSq(Uniform);
+  report("SumSq", SumSq, Json, N);
 
   std::vector<double> CartXs = uniformDoubles(CartOuter, 3, 0, 1);
   std::vector<double> CartYs = uniformDoubles(CartInner, 4, 0, 1);
-  report("Cart", runCart(CartXs, CartYs), Json, CartOuter * CartInner);
+  Result Cart = runCart(CartXs, CartYs);
+  report("Cart", Cart, Json, CartOuter * CartInner);
 
   std::vector<double> Mog = mixtureOfGaussians(N, 5);
-  report("Group", runGroup(Mog), Json, N);
+  Result Group = runGroup(Mog);
+  report("Group", Group, Json, N);
 
   std::printf("\npaper's Figure 13: speedups 3.32x (Sum) .. 14.1x "
               "(Group); Steno-vs-hand overhead 53%% (Sum), <3%% "
               "(others)\n");
-  return 0;
+  std::printf("gate: Steno-vs-hand overhead <= +10%% (Sum, SumSq, Cart), "
+              "<= +15%% (Group)\n");
+  bool Ok = withinGate("Sum", Sum, 10);
+  Ok &= withinGate("SumSq", SumSq, 10);
+  Ok &= withinGate("Cart", Cart, 10);
+  Ok &= withinGate("Group", Group, 15);
+  return Ok ? 0 : 1;
 }

@@ -10,6 +10,7 @@
 #include "steno/Steno.h"
 #include "support/StringUtil.h"
 
+#include <charconv>
 #include <cmath>
 
 using namespace steno;
@@ -104,29 +105,59 @@ bool fuzz::fuzzValueNear(const expr::Value &A, const expr::Value &B,
   return false;
 }
 
-std::string fuzz::fuzzValueStr(const expr::Value &V) {
+namespace {
+
+/// printf's %.17g: std::to_chars with the same format and precision
+/// prints the same bytes, without parsing a format string per call.
+void appendDouble(std::string &Out, double D) {
+  char Buf[32];
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof Buf, D,
+                                         std::chars_format::general, 17);
+  Out.append(Buf, R.ptr);
+}
+
+} // namespace
+
+void fuzz::appendValueStr(std::string &Out, const expr::Value &V) {
   switch (V.kind()) {
   case expr::TypeKind::Bool:
-    return V.asBool() ? "true" : "false";
-  case expr::TypeKind::Int64:
-    return std::to_string(V.asInt64());
+    Out += V.asBool() ? "true" : "false";
+    return;
+  case expr::TypeKind::Int64: {
+    char Buf[24];
+    std::to_chars_result R = std::to_chars(Buf, Buf + sizeof Buf, V.asInt64());
+    Out.append(Buf, R.ptr);
+    return;
+  }
   case expr::TypeKind::Double:
-    return support::strFormat("%.17g", V.asDouble());
+    appendDouble(Out, V.asDouble());
+    return;
   case expr::TypeKind::Vec: {
-    std::string Out = "[";
+    Out += '[';
     expr::VecView View = V.asVec();
     for (std::int64_t I = 0; I != View.Len; ++I) {
       if (I)
         Out += ", ";
-      Out += support::strFormat("%.17g", View.Data[I]);
+      appendDouble(Out, View.Data[I]);
     }
-    return Out + "]";
+    Out += ']';
+    return;
   }
   case expr::TypeKind::Pair:
-    return "(" + fuzzValueStr(V.first()) + ", " + fuzzValueStr(V.second()) +
-           ")";
+    Out += '(';
+    appendValueStr(Out, V.first());
+    Out += ", ";
+    appendValueStr(Out, V.second());
+    Out += ')';
+    return;
   }
-  return "?";
+  Out += '?';
+}
+
+std::string fuzz::fuzzValueStr(const expr::Value &V) {
+  std::string Out;
+  appendValueStr(Out, V);
+  return Out;
 }
 
 namespace {
@@ -284,10 +315,8 @@ DiffResult DiffHarness::check(const QuerySpec &Spec,
       CO.Rewrite = Id != BackendId::InterpNoRewrite;
       // Pinned likewise for the vectorize-on/off pair: the scalar interp
       // backends never take the batch path regardless of STENO_VECTORIZE,
-      // InterpVectorized always requests it. Jit keeps the env default
-      // (sampling whichever native TU the environment selects).
-      if (Id != BackendId::Jit)
-        CO.Vectorize = Id == BackendId::InterpVectorized;
+      // InterpVectorized always requests it. Jit ignores the flag.
+      CO.Vectorize = Id == BackendId::InterpVectorized;
       // Pinned off so these backends stay deterministic even after
       // InterpAdaptive seeded feedback for this very spec; adaptivity
       // is exercised only through its dedicated backend below.

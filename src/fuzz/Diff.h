@@ -144,8 +144,12 @@ private:
 bool fuzzValueNear(const expr::Value &A, const expr::Value &B,
                    double Rel = 1e-9);
 
-/// Renders a Value for mismatch reports.
+/// Renders a Value for mismatch reports and serve's `row` lines: doubles
+/// as printf's %.17g, pairs as `(a, b)`, vecs as `[a, b]`.
 std::string fuzzValueStr(const expr::Value &V);
+
+/// Appends fuzzValueStr(V) to \p Out without a temporary string.
+void appendValueStr(std::string &Out, const expr::Value &V);
 
 } // namespace fuzz
 } // namespace steno

@@ -395,6 +395,7 @@ bool QueryService::scheduleVertexRecompile(const PreparedHandle &P) {
 Response QueryService::executePartial(const PreparedHandle &P,
                                       std::size_t Begin, std::size_t Len,
                                       std::chrono::milliseconds Deadline) {
+  const auto Arrived = std::chrono::steady_clock::now(); // as in execute()
   ServeMetrics &M = metrics();
   Response Rsp;
   Rsp.Id = NextRequestId.fetch_add(1, std::memory_order_relaxed);
@@ -440,7 +441,7 @@ Response QueryService::executePartial(const PreparedHandle &P,
 
   auto R = std::make_shared<RequestState>();
   R->P = P;
-  R->Deadline = std::chrono::steady_clock::now() + Deadline;
+  R->Deadline = Arrived + Deadline;
   R->Id = Rsp.Id;
   R->Partial = true;
   R->Begin = Begin;
@@ -626,6 +627,10 @@ void QueryService::judgeAdaptive(const PreparedHandle &P) {
 
 Response QueryService::execute(const PreparedHandle &P,
                                std::chrono::milliseconds Deadline) {
+  // The deadline runs from arrival: stamped before the request becomes
+  // visible in InFlight, so a caller that sees it queued knows its clock
+  // has started.
+  const auto Arrived = std::chrono::steady_clock::now();
   ServeMetrics &M = metrics();
   Response Rsp;
   Rsp.Id = NextRequestId.fetch_add(1, std::memory_order_relaxed);
@@ -667,7 +672,7 @@ Response QueryService::execute(const PreparedHandle &P,
 
   auto R = std::make_shared<RequestState>();
   R->P = P;
-  R->Deadline = std::chrono::steady_clock::now() + Deadline;
+  R->Deadline = Arrived + Deadline;
   R->Id = Rsp.Id;
   std::future<Response> Fut = R->Promise.get_future();
 

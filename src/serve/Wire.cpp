@@ -2,7 +2,7 @@
 
 #include "serve/Wire.h"
 
-#include "fuzz/Diff.h" // fuzzValueStr: the stable row renderer
+#include "fuzz/Diff.h" // appendValueStr: the stable row renderer
 #include "obs/Metrics.h"
 #include "obs/Profile.h"
 #include "support/StringUtil.h"
@@ -329,8 +329,11 @@ std::string serve::renderResponse(const Response &R) {
       R.Result.isScalar() ? "scalar" : "rows", R.Result.rows().size(),
       R.Degraded ? 1 : 0, R.NativePlan ? 1 : 0, R.QueueMicros,
       R.RunMicros);
-  for (const expr::Value &V : R.Result.rows())
-    Out += "row " + fuzz::fuzzValueStr(V) + "\n";
+  for (const expr::Value &V : R.Result.rows()) {
+    Out += "row ";
+    fuzz::appendValueStr(Out, V);
+    Out += '\n';
+  }
   Out += "done\n";
   return Out;
 }

@@ -143,14 +143,14 @@ std::string
 PersistentQueryCache::entryDir(const query::Query &Q,
                                const CompileOptions &Options) const {
   // Every option that changes the generated code (the flags QueryCache
-  // keys on), plus the runtime header the object was compiled against.
+  // keys on for Native entries), plus the runtime header the object was
+  // compiled against.
   std::uint64_t Key = hashQuery(Q);
   return support::strFormat(
-      "%s/q%016llx_s%d_c%d_p%d_v%d_r%d_h%016llx", Dir.c_str(),
+      "%s/q%016llx_s%d_c%d_p%d_r%d_h%016llx", Dir.c_str(),
       static_cast<unsigned long long>(Key),
       Options.SpecializeGroupByAggregate ? 1 : 0, Options.EnableCse ? 1 : 0,
-      Options.Profile ? 1 : 0, Options.Vectorize ? 1 : 0,
-      Options.Rewrite ? 1 : 0,
+      Options.Profile ? 1 : 0, Options.Rewrite ? 1 : 0,
       static_cast<unsigned long long>(jit::runtimeHeaderHash()));
 }
 

@@ -134,6 +134,14 @@ bool steno::equalQueries(const query::Query &A, const query::Query &B) {
   return equalChainsFrom(A.node(), B.node());
 }
 
+bool QueryCache::Entry::matches(const query::Query &Q,
+                                const CompileOptions &O) const {
+  return Exec == O.Exec && Specialize == O.SpecializeGroupByAggregate &&
+         Profile == O.Profile && Rewrite == O.Rewrite &&
+         (Vectorize == O.Vectorize || Exec == Backend::Native) &&
+         Adaptive == O.Adaptive && equalQueries(Query, Q);
+}
+
 CompiledQuery QueryCache::getOrCompile(const query::Query &Q,
                                        const CompileOptions &Options) {
   static obs::Counter &HitCount = obs::counter("steno.cache.hits");
@@ -148,11 +156,7 @@ CompiledQuery QueryCache::getOrCompile(const query::Query &Q,
     auto It = Buckets.find(Key);
     if (It != Buckets.end()) {
       for (const Entry &E : It->second) {
-        if (E.Exec == Options.Exec &&
-            E.Specialize == Options.SpecializeGroupByAggregate &&
-            E.Profile == Options.Profile && E.Rewrite == Options.Rewrite &&
-            E.Vectorize == Options.Vectorize &&
-            E.Adaptive == Options.Adaptive && equalQueries(E.Query, Q)) {
+        if (E.matches(Q, Options)) {
           Hits.fetch_add(1, std::memory_order_relaxed);
           HitCount.inc();
           SavedMs.inc(static_cast<std::uint64_t>(
@@ -180,11 +184,7 @@ CompiledQuery QueryCache::lookup(const query::Query &Q,
   if (It == Buckets.end())
     return CompiledQuery();
   for (const Entry &E : It->second)
-    if (E.Exec == Options.Exec &&
-        E.Specialize == Options.SpecializeGroupByAggregate &&
-        E.Profile == Options.Profile && E.Rewrite == Options.Rewrite &&
-        E.Vectorize == Options.Vectorize &&
-        E.Adaptive == Options.Adaptive && equalQueries(E.Query, Q))
+    if (E.matches(Q, Options))
       return E.Compiled;
   return CompiledQuery();
 }
@@ -197,11 +197,7 @@ CompiledQuery QueryCache::insert(const query::Query &Q,
   std::uint64_t Key = hashQuery(Q);
   std::lock_guard<std::mutex> Lock(Mutex);
   for (const Entry &E : Buckets[Key]) {
-    if (E.Exec == Options.Exec &&
-        E.Specialize == Options.SpecializeGroupByAggregate &&
-        E.Profile == Options.Profile && E.Rewrite == Options.Rewrite &&
-        E.Vectorize == Options.Vectorize &&
-        E.Adaptive == Options.Adaptive && equalQueries(E.Query, Q)) {
+    if (E.matches(Q, Options)) {
       DupDropped.fetch_add(1, std::memory_order_relaxed);
       DupDroppedCount.inc();
       return E.Compiled; // first insert won; drop the duplicate
@@ -224,13 +220,7 @@ bool QueryCache::evict(const query::Query &Q, const CompileOptions &Options) {
     return false;
   std::vector<Entry> &Entries = It->second;
   for (std::size_t I = 0; I != Entries.size(); ++I) {
-    if (Entries[I].Exec == Options.Exec &&
-        Entries[I].Specialize == Options.SpecializeGroupByAggregate &&
-        Entries[I].Profile == Options.Profile &&
-        Entries[I].Rewrite == Options.Rewrite &&
-        Entries[I].Vectorize == Options.Vectorize &&
-        Entries[I].Adaptive == Options.Adaptive &&
-        equalQueries(Entries[I].Query, Q)) {
+    if (Entries[I].matches(Q, Options)) {
       Entries.erase(Entries.begin() + static_cast<std::ptrdiff_t>(I));
       if (Entries.empty())
         Buckets.erase(It);

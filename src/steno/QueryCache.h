@@ -105,6 +105,11 @@ private:
     bool Vectorize;
     bool Adaptive;
     CompiledQuery Compiled;
+
+    /// Whether this entry is \p Q compiled under options equivalent to
+    /// \p O. Vectorize selects the interpreter's batch tier only, so
+    /// Native entries match either value.
+    bool matches(const query::Query &Q, const CompileOptions &O) const;
   };
 
   mutable std::mutex Mutex;

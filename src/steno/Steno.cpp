@@ -3,10 +3,8 @@
 #include "steno/Steno.h"
 #include "adapt/Adapt.h"
 #include "codegen/Generator.h"
-#include "codegen/VecGen.h"
 #include "cpptree/Printer.h"
 #include "interp/Interp.h"
-#include "interp/VecInterp.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Error.h"
@@ -42,11 +40,9 @@ struct CompiledQuery::Impl {
   /// what PlanHash would be with rewriting off, i.e. the hash the same
   /// query registered under in profile stores before rewriting existed.
   std::uint64_t RewrittenFrom = 0;
-  /// The vectorized batch plan (DESIGN.md §5i). Non-null only when
-  /// CompileOptions::Vectorize was on AND the chain fits the columnar
-  /// model; the Interp backend then executes batch-at-a-time and the
-  /// Native backend compiled batch loops. Shared: withNativeModule twins
-  /// reuse it.
+  /// The interpreter's vectorized batch plan (DESIGN.md §5i). Non-null
+  /// only for the Interp backend with CompileOptions::Vectorize on AND a
+  /// chain that fits the columnar model.
   std::shared_ptr<const vec::VecPlan> VecPlan;
 };
 
@@ -250,11 +246,8 @@ QueryResult CompiledQuery::run(const Bindings &B) const {
     Rows = std::move(Out.Rows);
     Arena = std::move(Out.Arena);
   } else if (I->VecPlan) {
-    interp::RunInput In;
-    In.Sources = &B.sources();
-    In.Values = &B.values();
-    In.Profile = Prof.get();
-    Rows = interp::executeVectorized(*I->VecPlan, In).Rows;
+    Rows = vec::executeBatched(*I->VecPlan,
+                               {&B.sources(), &B.values(), Prof.get()});
   } else {
     interp::RunInput In;
     In.Sources = &B.sources();
@@ -319,11 +312,8 @@ QueryResult QueryRunner::run(const Bindings &B) {
     Rows = std::move(Out.Rows);
     Arena = std::move(Out.Arena);
   } else if (I->VecPlan) {
-    interp::RunInput In;
-    In.Sources = &B.sources();
-    In.Values = &B.values();
-    In.Profile = Sink.get();
-    Rows = interp::executeVectorized(*I->VecPlan, In).Rows;
+    Rows = vec::executeBatched(*I->VecPlan,
+                               {&B.sources(), &B.values(), Sink.get()});
   } else {
     interp::RunInput In;
     In.Sources = &B.sources();
@@ -375,7 +365,6 @@ CompiledQuery CompiledQuery::withNativeModule(
   Impl->Profile = I->Profile;
   Impl->Rewrite = I->Rewrite;
   Impl->RewrittenFrom = I->RewrittenFrom;
-  Impl->VecPlan = I->VecPlan;
   CompiledQuery CQ;
   CQ.I = std::move(Impl);
   return CQ;
@@ -438,20 +427,14 @@ codegenAndLoad(std::shared_ptr<CompiledQuery::Impl> Impl,
   }
 
   // Vectorized batch planning (§5i): decide once whether the optimized
-  // chain fits the columnar model. The plan drives the interp backend's
-  // batch executor directly; for the native backend (including serve's
-  // background recompiles, which compile generatedSource()) the printed
-  // TU is replaced by the batch-loop version, so vectorized() always
-  // describes what actually runs. The scalar Program is kept for result
-  // typing, slot metadata and EXPLAIN. Chains the planner rejects keep
-  // the scalar loop on both backends.
-  if (Options.Vectorize) {
+  // chain fits the interpreter's columnar batch model. The native backend
+  // always compiles the §4.2 fused loop printed above, so only Interp
+  // plans carry a VecPlan. Chains the planner rejects keep the scalar
+  // interpreter.
+  if (Options.Vectorize && Options.Exec == Backend::Interp) {
     auto VP = std::make_shared<vec::VecPlan>(vec::planChain(Impl->Chain));
-    if (VP->Ok) {
+    if (VP->Ok)
       Impl->VecPlan = std::move(VP);
-      Impl->Source = codegen::printVectorizedProgram(
-          *Impl->VecPlan, Impl->Slots, Entry, Options.Profile);
-    }
   }
 
   Impl->PlanHash = quil::hashChain(Impl->Chain);

@@ -87,12 +87,13 @@ struct CompileOptions {
   /// unprofiled compilations of the same query are distinct plans (the
   /// generated code differs); the QueryCache keys on this flag.
   bool Profile = obs::profilingEnvEnabled();
-  /// Vectorized batch execution (DESIGN.md §5i): vectorizable chains run
-  /// batch-at-a-time over contiguous columns with selection vectors — the
-  /// interpreter through the steno::vec batch kernels, the native backend
-  /// through SIMD-friendly generated batch loops. Chains whose shape does
-  /// not fit the columnar model (nested queries, sinks, early-exit
-  /// aggregates, vec-typed elements) keep the scalar path regardless.
+  /// Vectorized batch execution (DESIGN.md §5i): on the Interp backend,
+  /// vectorizable chains run batch-at-a-time through the steno::vec
+  /// kernels over contiguous columns with selection vectors. Chains whose
+  /// shape does not fit the columnar model (nested queries, sinks other
+  /// than a tail GroupByAggregate, early-exit aggregates, vec-typed
+  /// elements) keep the scalar interpreter regardless. The Native backend
+  /// always compiles the §4.2 fused loop and ignores this flag.
   /// Defaults to the STENO_VECTORIZE environment variable (on unless set
   /// to "0" or "off"). The QueryCache keys on this flag.
   bool Vectorize = vec::vectorizeEnvEnabled();
@@ -166,10 +167,9 @@ public:
   std::uint64_t planHash() const;
   /// Whether this query was compiled with profiling hooks.
   bool profiled() const;
-  /// Whether this query carries a vectorized batch plan (the interp
-  /// backend executes it batch-at-a-time; the native backend compiled
-  /// batch loops). False when vectorization was disabled or the chain's
-  /// shape forced the scalar fallback.
+  /// Whether the interpreter runs this query batch-at-a-time. False on
+  /// the Native backend, when vectorization was disabled, or when the
+  /// chain's shape forced the scalar fallback.
   bool vectorized() const;
   /// EXPLAIN ANALYZE-style report of the accumulated profile for this
   /// plan (obs::renderExplainAnalyze over the store snapshot); a

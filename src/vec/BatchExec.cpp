@@ -8,11 +8,14 @@
 #include "vec/BatchExec.h"
 
 #include "expr/Analysis.h"
+#include "steno/Rt.h"
+#include "support/Error.h"
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 using namespace steno;
 using namespace steno::vec;
@@ -27,6 +30,7 @@ using query::SourceKind;
 using quil::Chain;
 using quil::Op;
 using quil::PredOp;
+using quil::SinkOp;
 using quil::Sym;
 
 //===----------------------------------------------------------------------===//
@@ -114,6 +118,35 @@ bool recognizeReduce(const expr::Lambda &Fn2, VecPlan &P) {
   return true;
 }
 
+/// Scalars and pairs of them, nested to any depth: values that hold no
+/// vec payload and so need no arena.
+bool isVecFree(const expr::TypeRef &T) {
+  return T && (T->isScalar() || (T->isPair() && isVecFree(T->first()) &&
+                                 isVecFree(T->second())));
+}
+
+/// Plans the key side of a Sink(GroupByAggregate) tail \p O into \p P;
+/// returns why the sink stays scalar, or null.
+const char *planGroup(const Op &O, VecPlan &P) {
+  if (O.Fn.arity() != 1 || !O.Fn.body()->type()->isInt64())
+    return "malformed GroupByAggregate";
+  // The scalar loop evaluates a hash sink's seed per element, a dense
+  // sink's key bound and seed once up front; the batch path evaluates
+  // both up front, so a hash seed that could trap stays scalar.
+  if (O.DenseKeys ? !hasNoFreeParams(O.DenseKeys) : exprMayTrap(*O.Seed))
+    return "group seed or key bound not evaluable up front";
+  if (!isVecFree(O.Seed->type()) || !isVecFree(O.OutElem))
+    return "vec-typed group accumulator or row";
+  P.KeyElemName = O.Fn.param(0).Name;
+  P.GroupKey = compileVecExpr(O.Fn.body(), P.KeyElemName);
+  if (!P.GroupKey.Ok)
+    return "unvectorizable group key";
+  P.Group = true;
+  P.DenseKeys = O.DenseKeys;
+  P.LaneOrder = P.GroupKey.Tree.MayTrap || exprMayTrap(*O.Fn2.body());
+  return nullptr;
+}
+
 } // namespace
 
 VecPlan vec::planChain(const Chain &C) {
@@ -190,9 +223,13 @@ VecPlan vec::planChain(const Chain &C) {
       S.OutK = O.OutElem->kind();
       break;
     }
-    case Sym::Agg: {
+    case Sym::Agg:
+    case Sym::Sink: {
+      bool IsGroup = O.S == Sym::Sink;
+      if (IsGroup && O.K != SinkOp::GroupByAggregate)
+        return reject("sink operator");
       if (I + 2 != C.Ops.size())
-        return reject("Agg not in tail position");
+        return reject("aggregate not in tail position");
       if (O.StopWhen.valid())
         return reject("early-exit aggregate");
       if (!O.Fn2.valid() || O.Fn2.arity() != 2 || !O.Seed)
@@ -201,22 +238,25 @@ VecPlan vec::planChain(const Chain &C) {
         return reject("Agg seed references outer parameters");
       if (!O.InElem || !O.InElem->isScalar())
         return reject("non-scalar Agg input");
+      if (IsGroup)
+        if (const char *Why = planGroup(O, P))
+          return reject(Why);
       P.AggProfSlot = I;
       P.AggStep = O.Fn2;
       P.AggSeed = O.Seed;
       P.AggResult = O.Fn3;
-      P.Agg = recognizeReduce(O.Fn2, P) ? VAggMode::Reduce
-                                        : VAggMode::Generic;
+      // A group fold that must run lane by lane gains nothing from the
+      // typed loop, so it takes the Generic per-lane path.
+      P.Agg = !P.LaneOrder && recognizeReduce(O.Fn2, P) ? VAggMode::Reduce
+                                                       : VAggMode::Generic;
       break;
     }
-    case Sym::Sink:
-      return reject("sink operator");
     case Sym::Nested:
       return reject("nested query");
     default:
       return reject("unexpected operator");
     }
-    if (O.S != Sym::Agg)
+    if (O.S != Sym::Agg && O.S != Sym::Sink)
       P.Steps.push_back(std::move(S));
   }
   if (C.Ops.back().S != Sym::Ret)
@@ -279,6 +319,146 @@ std::int64_t whileBoundary(const VStep &St, EvalCtx &Ctx, const Lanes &L) {
   return Sz;
 }
 
+/// Calls \p Fn with the binary step `(acc, x) -> acc op x` of P's reduce
+/// op over accumulator type T. Min/Max replicate evalCall's comparison
+/// with the original operand order, so NaN handling matches scalar.
+template <typename T, typename F> void withReduceOp(const VecPlan &P, F &&Fn) {
+  switch (P.ROp) {
+  case VReduceOp::Add:
+    return Fn([](T A, T X) { return A + X; });
+  case VReduceOp::Sub: // acc-left only (planner guarantees)
+    return Fn([](T A, T X) { return A - X; });
+  case VReduceOp::Mul:
+    return Fn([](T A, T X) { return A * X; });
+  case VReduceOp::Min:
+    if (P.AccFirst)
+      return Fn([](T A, T X) { return X < A ? X : A; });
+    return Fn([](T A, T X) { return A < X ? A : X; });
+  case VReduceOp::Max:
+    if (P.AccFirst)
+      return Fn([](T A, T X) { return A < X ? X : A; });
+    return Fn([](T A, T X) { return X < A ? A : X; });
+  }
+}
+
+/// Per-key accumulators of a GroupByAggregate tail in first-seen key
+/// order: the generated code's hash or dense sink (rt::GroupAggSink,
+/// rt::DenseAggSink). The dense sink reports every key in range.
+template <typename A> class KeyedAccs {
+public:
+  KeyedAccs(bool Dense, std::int64_t NumKeys, A Seed)
+      : IsDense(Dense), Seed(Seed), DenseS(Dense ? NumKeys : 0, Seed) {}
+
+  A &at(std::int64_t Key) {
+    if (!IsDense)
+      return Hash.slot(Key, Seed);
+    if (static_cast<std::uint64_t>(Key) >=
+        static_cast<std::uint64_t>(DenseS.size()))
+      support::fatalError("dense group key " + std::to_string(Key) +
+                          " outside [0, " + std::to_string(DenseS.size()) +
+                          ")");
+    return DenseS.slot(Key);
+  }
+  std::int64_t size() const { return IsDense ? DenseS.size() : Hash.size(); }
+  std::int64_t keyAt(std::int64_t I) const {
+    return IsDense ? I : Hash.keyAt(I);
+  }
+  A accAt(std::int64_t I) const {
+    return IsDense ? DenseS.accAt(I) : Hash.accAt(I);
+  }
+
+private:
+  bool IsDense;
+  A Seed;
+  rt::GroupAggSink<A> Hash;
+  rt::DenseAggSink<A> DenseS;
+};
+
+/// The accumulators of a GroupByAggregate tail. Reduce steps fold into
+/// the typed table matching AccK; Generic steps keep Values, and their
+/// table maps each key to an index into Vals (-1: still the seed).
+struct GroupState {
+  GroupState(const VecPlan &P, const Value &Seed, std::int64_t NumKeys)
+      : SeedV(Seed), Dbl(P.Agg == VAggMode::Reduce &&
+                         P.AccK == TypeKind::Double),
+        D(Dbl && P.DenseKeys, NumKeys, Dbl ? Seed.asDouble() : 0.0),
+        I(!Dbl && P.DenseKeys, NumKeys,
+          P.Agg == VAggMode::Reduce && !Dbl ? Seed.asInt64() : -1) {}
+
+  Value &generic(std::int64_t Key) {
+    std::int64_t &J = I.at(Key);
+    if (J < 0) {
+      J = static_cast<std::int64_t>(Vals.size());
+      Vals.push_back(SeedV);
+    }
+    return Vals[static_cast<std::size_t>(J)];
+  }
+
+  Value SeedV;
+  bool Dbl; ///< Folds into D; every other fold uses I.
+  KeyedAccs<double> D;
+  KeyedAccs<std::int64_t> I;
+  std::vector<Value> Vals;
+};
+
+/// Folds the live lanes \p L of one batch into their keys' accumulators.
+void foldGroup(const VecPlan &P, GroupState &G, EvalCtx &Ctx,
+               const Col &Elem, const Lanes &L) {
+  Ctx.Elem = Elem;
+  if (P.Agg == VAggMode::Generic) {
+    // A key or step that may trap runs key, then step, element by
+    // element; otherwise the key column is evaluated first.
+    const std::int64_t *Keys =
+        P.LaneOrder ? nullptr : evalVec(P.GroupKey.Tree, Ctx, L).I;
+    L.forEach([&](std::int64_t I) {
+      std::int64_t K =
+          Keys ? Keys[I]
+               : evalLane(P.GroupKey.Tree, P.KeyElemName, Ctx, I).asInt64();
+      Value &A = G.generic(K);
+      A = expr::applyLambda(P.AggStep, {A, laneValue(Elem, I)}, *Ctx.Env);
+    });
+    return;
+  }
+  const std::int64_t *Keys = evalVec(P.GroupKey.Tree, Ctx, L).I;
+  Col X = evalVec(P.AggArg.Tree, Ctx, L);
+  if (G.Dbl)
+    withReduceOp<double>(P, [&](auto Op) {
+      L.forEach([&](std::int64_t I) {
+        double &A = G.D.at(Keys[I]);
+        A = Op(A, X.D[I]);
+      });
+    });
+  else
+    withReduceOp<std::int64_t>(P, [&](auto Op) {
+      L.forEach([&](std::int64_t I) {
+        std::int64_t &A = G.I.at(Keys[I]);
+        A = Op(A, X.I[I]);
+      });
+    });
+}
+
+/// Emits a GroupByAggregate tail's rows in first-seen key order.
+void emitGroups(const VecPlan &P, const GroupState &G, expr::Env &Env,
+                std::vector<Value> &Rows) {
+  std::int64_t N = G.Dbl ? G.D.size() : G.I.size();
+  Rows.reserve(static_cast<std::size_t>(N));
+  for (std::int64_t J = 0; J != N; ++J) {
+    Value Key(G.Dbl ? G.D.keyAt(J) : G.I.keyAt(J));
+    Value Acc;
+    if (G.Dbl)
+      Acc = Value(G.D.accAt(J));
+    else if (P.Agg == VAggMode::Reduce)
+      Acc = Value(G.I.accAt(J));
+    else if (std::int64_t Ix = G.I.accAt(J); Ix >= 0)
+      Acc = G.Vals[static_cast<std::size_t>(Ix)];
+    else
+      Acc = G.SeedV;
+    Rows.push_back(P.AggResult.valid()
+                       ? expr::applyLambda(P.AggResult, {Key, Acc}, Env)
+                       : Value::makePair(Key, Acc));
+  }
+}
+
 } // namespace
 
 std::vector<Value> vec::executeBatched(const VecPlan &P,
@@ -310,7 +490,14 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
   std::int64_t AccI = 0;
   double AccD = 0;
   Value AccV;
-  if (P.Agg != VAggMode::None) {
+  std::optional<GroupState> Groups;
+  if (P.Group) {
+    // A dense sink's key bound, then its seed (the scalar DeclareSink
+    // order); a hash sink's seed is pure and trap-free (planner checks).
+    std::int64_t NumKeys =
+        P.DenseKeys ? expr::evalExpr(*P.DenseKeys, Env).asInt64() : 0;
+    Groups.emplace(P, expr::evalExpr(*P.AggSeed, Env), NumKeys);
+  } else if (P.Agg != VAggMode::None) {
     Value Seed = expr::evalExpr(*P.AggSeed, Env);
     if (IsReduce) {
       if (P.AccK == TypeKind::Int64)
@@ -461,59 +648,23 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
       if (Out == 0)
         continue;
       std::uint64_t T0 = Prof ? nowNs() : 0;
-      if (IsReduce) {
+      if (Groups) {
+        foldGroup(P, *Groups, Ctx, Elem, L);
+      } else if (IsReduce) {
         Ctx.Elem = Elem;
         Col G = evalVec(P.AggArg.Tree, Ctx, L);
-        if (P.AccK == TypeKind::Int64) {
-          std::int64_t A = AccI;
-          switch (P.ROp) {
-          case VReduceOp::Add:
-            L.forEach([&](std::int64_t I) { A += G.I[I]; });
-            break;
-          case VReduceOp::Sub: // acc-left only (planner guarantees)
-            L.forEach([&](std::int64_t I) { A -= G.I[I]; });
-            break;
-          case VReduceOp::Mul:
-            L.forEach([&](std::int64_t I) { A *= G.I[I]; });
-            break;
-          case VReduceOp::Min:
-            L.forEach([&](std::int64_t I) { A = std::min(A, G.I[I]); });
-            break;
-          case VReduceOp::Max:
-            L.forEach([&](std::int64_t I) { A = std::max(A, G.I[I]); });
-            break;
-          }
-          AccI = A;
-        } else {
-          double A = AccD;
-          bool AF = P.AccFirst;
-          switch (P.ROp) {
-          case VReduceOp::Add:
-            L.forEach([&](std::int64_t I) { A += G.D[I]; });
-            break;
-          case VReduceOp::Sub:
-            L.forEach([&](std::int64_t I) { A -= G.D[I]; });
-            break;
-          case VReduceOp::Mul:
-            L.forEach([&](std::int64_t I) { A *= G.D[I]; });
-            break;
-          // Min/Max replicate evalCall's comparison with the original
-          // operand order, so NaN handling matches scalar.
-          case VReduceOp::Min:
-            L.forEach([&](std::int64_t I) {
-              double X = G.D[I];
-              A = AF ? (X < A ? X : A) : (A < X ? A : X);
-            });
-            break;
-          case VReduceOp::Max:
-            L.forEach([&](std::int64_t I) {
-              double X = G.D[I];
-              A = AF ? (A < X ? X : A) : (X < A ? A : X);
-            });
-            break;
-          }
-          AccD = A;
-        }
+        if (P.AccK == TypeKind::Int64)
+          withReduceOp<std::int64_t>(P, [&](auto Op) {
+            std::int64_t A = AccI;
+            L.forEach([&](std::int64_t I) { A = Op(A, G.I[I]); });
+            AccI = A;
+          });
+        else
+          withReduceOp<double>(P, [&](auto Op) {
+            double A = AccD;
+            L.forEach([&](std::int64_t I) { A = Op(A, G.D[I]); });
+            AccD = A;
+          });
       } else {
         L.forEach([&](std::int64_t I) {
           AccV = expr::applyLambda(P.AggStep, {AccV, laneValue(Elem, I)},
@@ -522,8 +673,10 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
       }
       if (Prof) {
         Prof->Nanos[P.AggProfSlot] += nowNs() - T0;
-        Prof->Counts[2 * P.AggProfSlot + 1] +=
-            static_cast<std::uint64_t>(Out);
+        // A sink's rows-out is its entry count, added at emission.
+        if (!Groups)
+          Prof->Counts[2 * P.AggProfSlot + 1] +=
+              static_cast<std::uint64_t>(Out);
       }
     } else {
       if (Prof)
@@ -534,7 +687,13 @@ std::vector<Value> vec::executeBatched(const VecPlan &P,
     }
   }
 
-  if (P.Agg != VAggMode::None) {
+  if (Groups) {
+    emitGroups(P, *Groups, Env, Rows);
+    if (Prof) {
+      Prof->Counts[2 * P.AggProfSlot + 1] += Rows.size();
+      Prof->Counts[2 * P.RetProfSlot + 1] += Rows.size();
+    }
+  } else if (P.Agg != VAggMode::None) {
     Value A = IsReduce ? (P.AccK == TypeKind::Int64 ? Value(AccI)
                                                     : Value(AccD))
                        : AccV;

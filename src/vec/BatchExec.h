@@ -7,19 +7,27 @@
 ///
 /// \file
 /// Plans a lowered QUIL chain for vectorized execution and runs it
-/// batch-at-a-time (DESIGN.md §5i). planChain() decides once, at compile
-/// time, whether the chain fits the columnar model — linear Src
-/// (Trans|Pred)* Agg? Ret over scalar elements, no nested queries, no
-/// early-exit aggregates — and compiles every lambda body with
-/// compileVecExpr. Chains that do not fit keep the scalar interpreter
-/// path; the plan records why in WhyNot.
+/// batch-at-a-time (DESIGN.md §5i). This is the interpreter's batch tier;
+/// the native backend always compiles the §4.2 fused loop. planChain()
+/// decides once, at compile time, whether the chain fits the columnar
+/// model —
 ///
-/// executeBatched() is the interpreter-backend executor: it slices the
-/// source into batches of Plan.BatchSize elements and pushes each batch
-/// through the operator chain — Trans maps a column, Pred narrows the
-/// lane selection, Agg folds the surviving lanes into the accumulator.
-/// The whole source is always consumed (a Take that is exhausted shrinks
-/// the selection to empty but never breaks the batch loop), matching the
+///   Src (Trans|Pred)* (Agg | Sink(GroupByAggregate))? Ret
+///
+/// over scalar elements, with no nested queries and no early-exit
+/// aggregates — and compiles every lambda body with compileVecExpr.
+/// Chains that do not fit keep the scalar interpreter path; the plan
+/// records why in WhyNot.
+///
+/// executeBatched() slices the source into batches of Plan.BatchSize
+/// elements and pushes each batch through the operator chain — Trans maps
+/// a column, Pred narrows the lane selection, Agg folds the surviving
+/// lanes into the accumulator, and a GroupByAggregate sink (§4.3, or the
+/// §6 partial vertex that emits (key, acc) pairs) folds each lane into
+/// its key's accumulator in the table generated code uses
+/// (rt::GroupAggSink, insertion-ordered, or rt::DenseAggSink). The whole
+/// source is always consumed (a Take that is exhausted shrinks the
+/// selection to empty but never breaks the batch loop), matching the
 /// scalar backends, whose generated loops `continue` past filtered
 /// elements rather than `break` — so trap behavior and per-operator
 /// profile counts are identical to scalar execution. Profile accounting
@@ -43,10 +51,11 @@
 namespace steno {
 namespace vec {
 
-/// Kind of one planned operator step (between Src and Agg/Ret).
+/// Kind of one planned operator step (between Src and the Agg/Sink tail).
 enum class VStepKind { Trans, Where, Take, Skip, TakeWhile, SkipWhile };
 
-/// How the chain's Agg (if any) executes.
+/// How the chain's fold (its Agg, or its GroupByAggregate sink's per-key
+/// step), if any, executes.
 enum class VAggMode {
   None,   ///< Collection chain: surviving lanes become rows.
   Reduce, ///< acc = acc op g(elem): typed tight-loop fold.
@@ -92,8 +101,20 @@ struct VecPlan {
   expr::TypeKind AccK = expr::TypeKind::Double;
   expr::Lambda AggStep;   ///< Fn2, for the Generic fold.
   expr::ExprRef AggSeed;  ///< Evaluated in the prologue, chain order.
-  expr::Lambda AggResult; ///< Fn3; may be invalid (result = acc).
-  std::size_t AggProfSlot = 0;
+  /// Fn3; may be invalid (result = acc, or (key, acc) for a group tail).
+  expr::Lambda AggResult;
+  std::size_t AggProfSlot = 0; ///< The Agg or GroupByAggregate op.
+
+  /// The tail is Sink(GroupByAggregate): the Agg fields above describe
+  /// the per-key step, and AggResult is the (key, acc) result selector.
+  bool Group = false;
+  CompiledExpr GroupKey;   ///< Key selector body.
+  std::string KeyElemName; ///< The key selector's element parameter.
+  expr::ExprRef DenseKeys; ///< Dense sink's key bound; null = hash sink.
+  /// The key selector or step may raise ST2001, so the fold runs Generic,
+  /// key then step lane by lane in scalar order, instead of evaluating
+  /// the key column first.
+  bool LaneOrder = false;
 
   std::size_t RetProfSlot = 0;
   bool ScalarResult = false;
@@ -117,8 +138,8 @@ struct BatchInput {
 };
 
 /// Executes \p P against \p In. Returns the emitted rows (exactly one for
-/// scalar chains). Rows are always scalar Values (the plan guarantees
-/// scalar element types), so no arena is needed.
+/// scalar chains). Rows hold no vec payload (the plan guarantees it), so
+/// no arena is needed.
 std::vector<expr::Value> executeBatched(const VecPlan &P,
                                         const BatchInput &In);
 

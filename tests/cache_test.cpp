@@ -178,6 +178,24 @@ TEST(QueryCacheTest, SpecializationFlagIsPartOfTheKey) {
   EXPECT_EQ(Cache.misses(), 2u);
 }
 
+// Vectorize picks the interpreter's batch tier: it keys interpreter
+// entries, while a native plan compiles the same fused loop either way.
+TEST(QueryCacheTest, VectorizeKeysInterpreterEntriesOnly) {
+  QueryCache Cache;
+  for (Backend Exec : {Backend::Interp, Backend::Native}) {
+    CompileOptions On;
+    On.Exec = Exec;
+    On.Vectorize = true;
+    CompileOptions Off = On;
+    Off.Vectorize = false;
+    EXPECT_EQ(Cache.getOrCompile(sumSq(), On).vectorized(),
+              Exec == Backend::Interp);
+    EXPECT_FALSE(Cache.getOrCompile(sumSq(), Off).vectorized());
+  }
+  EXPECT_EQ(Cache.misses(), 3u); // interp on, interp off, native
+  EXPECT_EQ(Cache.hits(), 1u);
+}
+
 TEST(QueryCacheTest, CachedNativeQuerySkipsRecompilation) {
   QueryCache Cache;
   CompiledQuery First = Cache.getOrCompile(sumSq(), {});
@@ -395,6 +413,12 @@ TEST(PersistentCacheTest, OptionsKeyEntriesSeparately) {
   EXPECT_EQ(Cache.misses(), 2u);
   Cache.getOrCompile(sumSq(), WithCse);
   EXPECT_EQ(Cache.hits(), 1u);
+  // Vectorize leaves the native TU alone, so it shares the artifact.
+  CompileOptions OtherVec = WithCse;
+  OtherVec.Vectorize = !WithCse.Vectorize;
+  Cache.getOrCompile(sumSq(), OtherVec);
+  EXPECT_EQ(Cache.hits(), 2u);
+  EXPECT_EQ(Cache.misses(), 2u);
 }
 
 TEST(PersistentCacheTest, ProfileIsPartOfTheKey) {

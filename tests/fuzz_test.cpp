@@ -19,8 +19,15 @@
 
 #include "gtest/gtest.h"
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <set>
 
 using namespace steno;
@@ -63,6 +70,52 @@ std::string corpusDir() {
 //===--------------------------------------------------------------------===//
 // Spec serialization
 //===--------------------------------------------------------------------===//
+
+// fuzzValueStr renders the rows serve replies carry and perfbench
+// parses, so its std::to_chars doubles must stay byte-identical to
+// printf's %.17g: signed zeros, NaNs, infinities, subnormals, the
+// extremes and random bit patterns.
+TEST(FuzzValueStrTest, DoublesMatchPrintfG17) {
+  auto printfG17 = [](double D) {
+    char Buf[64];
+    std::snprintf(Buf, sizeof Buf, "%.17g", D);
+    return std::string(Buf);
+  };
+  using Lim = std::numeric_limits<double>;
+  std::vector<double> Cases = {0.0,
+                               -0.0,
+                               Lim::quiet_NaN(),
+                               -Lim::quiet_NaN(),
+                               Lim::infinity(),
+                               -Lim::infinity(),
+                               Lim::denorm_min(),
+                               -Lim::denorm_min(),
+                               DBL_MIN / 3,
+                               DBL_MIN,
+                               DBL_MAX,
+                               -DBL_MAX,
+                               0.1,
+                               1.0 / 3,
+                               1e21,
+                               1e-7,
+                               123456789012345678.0};
+  std::mt19937_64 Rng(2011);
+  for (int I = 0; I != 100000; ++I) {
+    std::uint64_t Bits = Rng();
+    double D;
+    std::memcpy(&D, &Bits, sizeof D);
+    Cases.push_back(D);
+  }
+  for (double D : Cases)
+    ASSERT_EQ(fuzzValueStr(expr::Value(D)), printfG17(D));
+
+  for (std::int64_t I : {std::int64_t{0}, std::int64_t{-7}, INT64_MIN,
+                         INT64_MAX})
+    EXPECT_EQ(fuzzValueStr(expr::Value(I)), std::to_string(I));
+  EXPECT_EQ(fuzzValueStr(expr::Value::makePair(expr::Value(std::int64_t{3}),
+                                               expr::Value(0.5))),
+            "(3, 0.5)");
+}
 
 TEST(FuzzSpecTest, SerializeParseRoundTrip) {
   QuerySpec S;

@@ -292,29 +292,25 @@ bool sameDouble(double A, double B) {
   return std::memcmp(&A, &B, sizeof A) == 0;
 }
 
-/// Runs \p Q natively, with and without the batched TU, and checks every
-/// row against runReference.
+/// Runs \p Q natively and checks every row against runReference.
 void expectNativeMatchesReference(const Query &Q, const Bindings &B,
                                   const std::string &Name) {
+  SCOPED_TRACE(Name);
   QueryResult Ref = steno::runReference(Q, B);
-  for (bool Vectorize : {true, false}) {
-    SCOPED_TRACE(Name + (Vectorize ? " (batched TU)" : " (scalar TU)"));
-    CompileOptions Options;
-    Options.Exec = Backend::Native;
-    Options.Vectorize = Vectorize;
-    Options.Name = "rt_math_" + Name;
-    QueryResult Got = steno::compileQuery(Q, Options).run(B);
-    ASSERT_EQ(Got.rows().size(), Ref.rows().size());
-    for (std::size_t I = 0; I != Ref.rows().size(); ++I) {
-      const steno::expr::Value &R = Ref.rows()[I];
-      const steno::expr::Value &G = Got.rows()[I];
-      if (R.isInt64())
-        EXPECT_EQ(G.asInt64(), R.asInt64()) << "row " << I;
-      else
-        EXPECT_TRUE(sameDouble(G.asDouble(), R.asDouble()))
-            << "row " << I << ": native " << G.asDouble() << ", reference "
-            << R.asDouble();
-    }
+  CompileOptions Options;
+  Options.Exec = Backend::Native;
+  Options.Name = "rt_math_" + Name;
+  QueryResult Got = steno::compileQuery(Q, Options).run(B);
+  ASSERT_EQ(Got.rows().size(), Ref.rows().size());
+  for (std::size_t I = 0; I != Ref.rows().size(); ++I) {
+    const steno::expr::Value &R = Ref.rows()[I];
+    const steno::expr::Value &G = Got.rows()[I];
+    if (R.isInt64())
+      EXPECT_EQ(G.asInt64(), R.asInt64()) << "row " << I;
+    else
+      EXPECT_TRUE(sameDouble(G.asDouble(), R.asDouble()))
+          << "row " << I << ": native " << G.asDouble() << ", reference "
+          << R.asDouble();
   }
 }
 

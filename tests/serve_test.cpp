@@ -206,10 +206,13 @@ TEST(ServePrepare, StructurallyEqualSpecsShareOneCachedPlan) {
 //===--------------------------------------------------------------------===//
 
 TEST(ServeAdmission, QueuedRequestTimesOutPastDeadline) {
-  Gate G;
+  Gate Entered, G;
   ServeOptions O = interpOnly();
   O.Workers = 1; // one worker: the gate serializes the queue behind it
-  O.ExecHook = [&G] { G.wait(); };
+  O.ExecHook = [&] {
+    Entered.open();
+    G.wait();
+  };
   QueryService Svc(O);
   auto Sess = Svc.openSession();
   std::string Err;
@@ -220,10 +223,10 @@ TEST(ServeAdmission, QueuedRequestTimesOutPastDeadline) {
     Response R = Sess->execute(P, std::chrono::milliseconds(10000));
     EXPECT_EQ(R.St, Status::Ok);
   });
-  // Wait until the first request is admitted, then queue one with a
+  // Wait until the first request holds the only worker (admitted is not
+  // enough: it may not be in the pool's queue yet), then queue one with a
   // deadline that will expire while it waits behind the parked worker.
-  while (Svc.stats().QueueDepth < 1)
-    std::this_thread::yield();
+  Entered.wait();
   std::thread Doomed([&] {
     Response R = Sess->execute(P, std::chrono::milliseconds(30));
     EXPECT_EQ(R.St, Status::Timeout);

@@ -17,14 +17,20 @@
 //===----------------------------------------------------------------------===//
 
 #include "QueryTestUtil.h"
+#include "dryad/Plan.h"
 #include "obs/Profile.h"
+#include "quil/Quil.h"
 #include "vec/Batch.h"
 
 #include "gtest/gtest.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <optional>
 
 using namespace steno;
 using namespace steno::expr;
@@ -253,6 +259,13 @@ TEST(VecPlanGate, VectorizableShapesCarryAPlan) {
                                .select(lambda({xd()}, xd() + 1.0)),
                            vecOpts(true, "gate_rows"))
                   .vectorized());
+  // So does a GroupByAggregate tail.
+  auto A = param("a", Type::doubleTy());
+  EXPECT_TRUE(compileQuery(Query::doubleArray(0).groupByAggregate(
+                               lambda({xd()}, toInt64(xd())), E(0.0),
+                               lambda({A, xd()}, A + xd())),
+                           vecOpts(true, "gate_groupagg"))
+                  .vectorized());
 }
 
 TEST(VecPlanGate, FallbackShapesStayScalarAndCorrect) {
@@ -262,8 +275,13 @@ TEST(VecPlanGate, FallbackShapesStayScalarAndCorrect) {
     const char *Name;
     Query Q;
   } Cases[] = {
-      // Sink operator.
+      // Sinks other than GroupByAggregate.
       {"toarray", Query::doubleArray(0).take(E(std::int64_t{8})).toArray()},
+      {"orderby", Query::doubleArray(0)
+                      .orderBy(lambda({xd()}, xd()))
+                      .toArray()},
+      {"groupby",
+       Query::doubleArray(0).groupBy(lambda({xd()}, toInt64(xd())))},
       // Early-exit aggregate.
       {"any", Query::doubleArray(0).where(lambda({xd()}, xd() > 0.0)).any()},
       // Vec-element (point) source.
@@ -316,12 +334,14 @@ TEST(VecTrapDeath, InterpBatchedDivByZeroTrapsWithST2001) {
   EXPECT_DEATH(CQ.run(F.B), "ST2001.*integer division by zero");
 }
 
-TEST(VecTrapDeath, NativeBatchedDivByZeroTrapsWithST2001) {
+// The native backend ignores Vectorize: it runs the fused loop, which
+// raises the same trap.
+TEST(VecTrapDeath, NativeDivByZeroTrapsWithST2001) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   VecTrapFixture F;
   CompiledQuery CQ = compileQuery(
       F.Q, vecOpts(true, "vec_trap_native", Backend::Native));
-  ASSERT_TRUE(CQ.vectorized());
+  ASSERT_FALSE(CQ.vectorized());
   EXPECT_DEATH(CQ.run(F.B), "ST2001.*integer division by zero");
 }
 
@@ -417,10 +437,28 @@ TEST(VecProfile, BatchedCountsMatchScalar) {
 }
 
 //===--------------------------------------------------------------------===//
-// Native backend: the generated TU really is the batch-loop program
+// Native backend: always the §4.2 fused loop
 //===--------------------------------------------------------------------===//
 
-TEST(VecNative, BatchedNativeMatchesScalarInterp) {
+namespace {
+
+/// \p CQ's printed TU with its entry-point name replaced, so two
+/// compilations of one chain compare equal.
+std::string sourceWithoutEntry(const CompiledQuery &CQ) {
+  std::string S = CQ.generatedSource();
+  const std::string &Entry = CQ.program().Name;
+  for (std::size_t At = S.find(Entry); At != std::string::npos;
+       At = S.find(Entry, At))
+    S.replace(At, Entry.size(), "ENTRY");
+  return S;
+}
+
+} // namespace
+
+// Vectorize is an interpreter knob: a native compile carries no batch
+// plan, and every compile of a chain prints the same fused loop (the TU
+// serve's background recompiles build from an interpreter plan).
+TEST(VecNative, NativeAlwaysCompilesTheFusedLoop) {
   std::vector<double> Xs = randomDoubles(512, 31, -10, 10);
   Bindings B;
   B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
@@ -432,15 +470,15 @@ TEST(VecNative, BatchedNativeMatchesScalarInterp) {
                 .sum();
   CompiledQuery Native =
       compileQuery(Q, vecOpts(true, "vec_native", Backend::Native));
-  ASSERT_TRUE(Native.vectorized());
-  // The printed TU is the batch program (vbase_ is its loop cursor).
-  EXPECT_NE(Native.generatedSource().find("vbase_"), std::string::npos);
-  double Scalar = compileQuery(Q, vecOpts(false, "vec_native_oracle"))
-                      .run(B)
-                      .scalarValue()
-                      .asDouble();
-  EXPECT_NEAR(Native.run(B).scalarValue().asDouble(), Scalar,
-              1e-9 * std::max(1.0, std::abs(Scalar)));
+  EXPECT_FALSE(Native.vectorized());
+  CompiledQuery Batched = compileQuery(Q, vecOpts(true, "vec_native"));
+  CompiledQuery Scalar = compileQuery(Q, vecOpts(false, "vec_native"));
+  ASSERT_TRUE(Batched.vectorized());
+  EXPECT_EQ(sourceWithoutEntry(Native), sourceWithoutEntry(Scalar));
+  EXPECT_EQ(sourceWithoutEntry(Batched), sourceWithoutEntry(Scalar));
+  double Want = Scalar.run(B).scalarValue().asDouble();
+  EXPECT_NEAR(Native.run(B).scalarValue().asDouble(), Want,
+              1e-9 * std::max(1.0, std::abs(Want)));
 }
 
 //===--------------------------------------------------------------------===//
@@ -471,4 +509,338 @@ TEST(VecAggregates, AllFoldShapesMatchScalar) {
                              "agg_sum_empty");
   expectBatchedMatchesScalar(Query::doubleArray(0).count(), Empty,
                              "agg_count_empty");
+}
+
+//===--------------------------------------------------------------------===//
+// GroupByAggregate tail: hash and dense sinks, folded batch-at-a-time
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+/// Bit-for-bit equality (so -0.0 differs from 0.0; any NaN matches any
+/// NaN), recursing into pairs.
+bool sameValue(const Value &A, const Value &B) {
+  if (A.kind() != B.kind())
+    return false;
+  switch (A.kind()) {
+  case TypeKind::Double: {
+    double X = A.asDouble(), Y = B.asDouble();
+    return (std::isnan(X) && std::isnan(Y)) ||
+           std::memcmp(&X, &Y, sizeof X) == 0;
+  }
+  case TypeKind::Pair:
+    return sameValue(A.first(), B.first()) &&
+           sameValue(A.second(), B.second());
+  default:
+    return valueStr(A) == valueStr(B);
+  }
+}
+
+void expectSameRows(const QueryResult &Want, const QueryResult &Got,
+                    const std::string &Name) {
+  ASSERT_EQ(Want.rows().size(), Got.rows().size()) << Name;
+  for (size_t I = 0; I != Want.rows().size(); ++I)
+    EXPECT_TRUE(sameValue(Want.rows()[I], Got.rows()[I]))
+        << Name << " row " << I << ": scalar=" << valueStr(Want.rows()[I])
+        << " batched=" << valueStr(Got.rows()[I]);
+}
+
+/// Requires that \p Q runs batched, and that its rows are the scalar
+/// interpreter's rows bit for bit, in the same (first-seen key) order.
+void expectGroupTailMatchesScalar(const Query &Q, const Bindings &B,
+                                  const std::string &Name) {
+  CompiledQuery Vec = compileQuery(Q, vecOpts(true, Name + "_vec"));
+  ASSERT_TRUE(Vec.vectorized()) << Name;
+  expectSameRows(compileQuery(Q, vecOpts(false, Name + "_scalar")).run(B),
+                 Vec.run(B), Name);
+}
+
+E ad() { return param("a", Type::doubleTy()); }
+E ai() { return param("ai", Type::int64Ty()); }
+E kk() { return param("k", Type::int64Ty()); }
+
+} // namespace
+
+// Every typed Reduce step (+ - * and both operand orders of min/max) on
+// double and int64 accumulators, through hash and dense sinks, over data
+// with NaNs and signed zeros: min/max must keep the scalar operand order
+// so which NaN or zero survives is the same. The key is NaN-safe (a Cond
+// over comparisons), so NaN elements land in bucket 0.
+TEST(VecGroupTail, ReduceStepsMatchScalarBitForBit) {
+  BatchSizeGuard G("16");
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> Xs = randomDoubles(200, 51, -100, 100);
+  for (std::size_t I = 0; I < Xs.size(); I += 7)
+    Xs[I] = I % 2 ? -0.0 : 0.0;
+  for (std::size_t I = 3; I < Xs.size(); I += 29)
+    Xs[I] = NaN;
+  std::vector<std::int64_t> Is(200);
+  for (std::size_t I = 0; I != Is.size(); ++I)
+    Is[I] = static_cast<std::int64_t>(I * 37 % 101) - 50;
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  B.bindInt64Array(1, Is.data(), static_cast<std::int64_t>(Is.size()));
+
+  E KeyD = cond(xd() < E(-30.0), E(std::int64_t{1}),
+                cond(xd() < E(30.0), E(std::int64_t{2}),
+                     cond(xd() >= E(30.0), E(std::int64_t{3}),
+                          E(std::int64_t{0}))));
+  E KeyI = cond(xi() < E(std::int64_t{0}), E(std::int64_t{3}),
+              cond(xi() > E(std::int64_t{20}), E(std::int64_t{1}),
+                   E(std::int64_t{0})));
+  struct Step {
+    const char *Name;
+    E D, I; // (acc, elem) bodies over doubles and int64s
+  } Steps[] = {
+      {"add", ad() + xd(), ai() + xi()},
+      {"add_elem_first", xd() + ad(), xi() + ai()},
+      {"sub", ad() - xd(), ai() - xi()},
+      {"mul", ad() * (xd() / E(50.0)),
+       ai() * cond(xi() > E(std::int64_t{40}), E(std::int64_t{-1}),
+                   E(std::int64_t{1}))},
+      {"min", min(ad(), xd()), min(ai(), xi())},
+      {"min_elem_first", min(xd(), ad()), min(xi(), ai())},
+      {"max", max(ad(), xd()), max(ai(), xi())},
+      {"max_elem_first", max(xd(), ad()), max(xi(), ai())},
+  };
+  for (const Step &S : Steps) {
+    std::string N = S.Name;
+    Query Src = Query::doubleArray(0);
+    Query SrcI = Query::int64Array(1);
+    expectGroupTailMatchesScalar(
+        Src.groupByAggregate(lambda({xd()}, KeyD), E(1.0),
+                             lambda({ad(), xd()}, S.D)),
+        B, "gt_hash_d_" + N);
+    expectGroupTailMatchesScalar(
+        Src.groupByAggregateDense(lambda({xd()}, KeyD), E(std::int64_t{6}),
+                                  E(1.0), lambda({ad(), xd()}, S.D)),
+        B, "gt_dense_d_" + N);
+    expectGroupTailMatchesScalar(
+        SrcI.groupByAggregate(lambda({xi()}, KeyI), E(std::int64_t{1}),
+                              lambda({ai(), xi()}, S.I)),
+        B, "gt_hash_i_" + N);
+    expectGroupTailMatchesScalar(
+        SrcI.groupByAggregateDense(lambda({xi()}, KeyI), E(std::int64_t{4}),
+                                   E(std::int64_t{1}),
+                                   lambda({ai(), xi()}, S.I)),
+        B, "gt_dense_i_" + N);
+  }
+}
+
+// A Generic step (Average's (sum, count) pair accumulator), with and
+// without a result selector, through both sinks; Where/Take/Skip in
+// front of the sink narrow the lanes that reach it.
+TEST(VecGroupTail, GenericStepsResultSelectorsAndPredicates) {
+  BatchSizeGuard G("16");
+  std::vector<double> Xs = randomDoubles(300, 52, 0, 100);
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  TypeRef AccTy = Type::pairTy(Type::doubleTy(), Type::int64Ty());
+  E Pa = param("pa", AccTy);
+  E Seed = pair(E(0.0), E(std::int64_t{0}));
+  Lambda Step =
+      lambda({Pa, xd()}, pair(Pa.first() + xd(), Pa.second() + 1));
+  Lambda Mean = lambda({kk(), Pa}, Pa.first() / toDouble(Pa.second()));
+  Lambda Key = lambda({xd()}, toInt64(xd() / E(10.0)));
+  Lambda SumStep = lambda({ad(), xd()}, ad() + xd());
+  Lambda Tag = lambda({kk(), ad()}, toDouble(kk()) * E(1000.0) + ad());
+
+  Query Shapes[] = {
+      Query::doubleArray(0).groupByAggregate(Key, Seed, Step),
+      Query::doubleArray(0).groupByAggregate(Key, Seed, Step, Mean),
+      Query::doubleArray(0).groupByAggregateDense(Key, E(std::int64_t{12}),
+                                                  Seed, Step),
+      Query::doubleArray(0).groupByAggregateDense(Key, E(std::int64_t{12}),
+                                                  Seed, Step, Mean),
+      Query::doubleArray(0).groupByAggregate(Key, E(0.0), SumStep, Tag),
+      Query::doubleArray(0)
+          .where(lambda({xd()}, xd() > E(20.0)))
+          .skip(E(std::int64_t{5}))
+          .take(E(std::int64_t{150}))
+          .groupByAggregate(Key, E(0.0), SumStep),
+      Query::doubleArray(0)
+          .select(lambda({xd()}, xd() * E(0.5)))
+          .takeWhile(lambda({xd()}, xd() < E(49.0)))
+          .groupByAggregateDense(Key, E(std::int64_t{5}), Seed, Step, Mean),
+  };
+  int I = 0;
+  for (const Query &Q : Shapes)
+    expectGroupTailMatchesScalar(Q, B, "gt_shape" + std::to_string(I++));
+  // No source element at all: a hash sink emits nothing, a dense sink
+  // every key with the seed.
+  Bindings Empty;
+  Empty.bindDoubleArray(0, Xs.data(), 0);
+  for (const Query &Q : Shapes)
+    expectGroupTailMatchesScalar(Q, Empty, "gt_empty" + std::to_string(I++));
+}
+
+// Keys first seen in later batches and on both sides of a batch edge
+// keep first-seen order; negative and extreme keys, and keys whose hash
+// probes collide (K + j * C^-1 all land on one index slot of the
+// Fibonacci hash), round-trip through table growth.
+TEST(VecGroupTail, KeyOrderAcrossBatchesAndCollidingKeys) {
+  BatchSizeGuard G("16");
+  const std::uint64_t C = 0x9E3779B97F4A7C15ull; // rt::GroupAggSink's hash
+  std::uint64_t InvC = C;
+  for (int I = 0; I != 6; ++I)
+    InvC *= 2 - C * InvC; // Newton: C * InvC == 1 mod 2^64
+  ASSERT_EQ(C * InvC, 1u);
+  std::vector<std::int64_t> Is(15, 1);
+  Is.push_back(42); // last lane of batch 0
+  Is.push_back(-5); // first lane of batch 1
+  for (int I = 0; I != 14; ++I)
+    Is.push_back(1);
+  Is.push_back(std::numeric_limits<std::int64_t>::min()); // lane 31
+  Is.push_back(std::numeric_limits<std::int64_t>::max()); // lane 32
+  for (std::uint64_t J = 1; J != 40; ++J)
+    Is.push_back(static_cast<std::int64_t>(7 + J * InvC));
+  for (std::int64_t J = 0; J != 300; ++J)
+    Is.push_back(J % 3 ? -J : 1000 - J);
+  Bindings B;
+  B.bindInt64Array(0, Is.data(), static_cast<std::int64_t>(Is.size()));
+  Query Count = Query::int64Array(0).groupByAggregate(
+      lambda({xi()}, xi()), E(std::int64_t{0}),
+      lambda({ai(), xi()}, ai() + 1));
+  expectGroupTailMatchesScalar(Count, B, "gt_keys_count");
+  expectGroupTailMatchesScalar(
+      Query::int64Array(0).groupByAggregate(
+          lambda({xi()}, xi()), E(0.0),
+          lambda({ad(), xi()}, ad() + toDouble(xi()) * E(0.5))),
+      B, "gt_keys_sum");
+  // Spot-check the order against the data itself.
+  QueryResult R = compileQuery(Count, vecOpts(true, "gt_keys_order")).run(B);
+  ASSERT_GE(R.rows().size(), 5u);
+  EXPECT_EQ(R.rows()[0].first().asInt64(), 1);
+  EXPECT_EQ(R.rows()[0].second().asInt64(), 29);
+  EXPECT_EQ(R.rows()[1].first().asInt64(), 42);
+  EXPECT_EQ(R.rows()[2].first().asInt64(), -5);
+  EXPECT_EQ(R.rows()[3].first().asInt64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(R.rows()[4].first().asInt64(),
+            std::numeric_limits<std::int64_t>::max());
+}
+
+// The §6 partial vertex dryad::planParallel splits off a GroupByAggregate
+// has no result selector and emits (key, acc) pairs; it runs batched too,
+// on the hash and the dense sink.
+TEST(VecGroupTail, PartialVertexEmitsKeyAccPairs) {
+  BatchSizeGuard G("16");
+  std::vector<double> Xs = randomDoubles(500, 53, 0, 100);
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  Lambda Key = lambda({xd()}, toInt64(xd() / E(10.0)));
+  Lambda Plus = lambda({ad(), xd()}, ad() + xd());
+  Lambda Combine = lambda({ad(), param("b", Type::doubleTy())},
+                          ad() + param("b", Type::doubleTy()));
+  Lambda Tag = lambda({kk(), ad()}, toDouble(kk()) + ad());
+  Query Shapes[] = {
+      Query::doubleArray(0).groupByAggregate(Key, E(0.0), Plus, Tag, Combine),
+      Query::doubleArray(0).groupByAggregateDense(Key, E(std::int64_t{10}),
+                                                  E(0.0), Plus, Tag, Combine),
+  };
+  int I = 0;
+  for (const Query &Q : Shapes) {
+    std::string Name = "gt_vertex" + std::to_string(I++);
+    std::string WhyNot;
+    std::optional<dryad::ParallelPlan> Plan = dryad::planParallel(
+        quil::specializeGroupByAggregate(quil::lower(Q)), &WhyNot);
+    ASSERT_TRUE(Plan) << Name << ": " << WhyNot;
+    ASSERT_FALSE(Plan->VertexChain.Ops[Plan->VertexChain.Ops.size() - 2]
+                     .Fn3.valid());
+    CompileOptions On = vecOpts(true, Name + "_vec");
+    CompileOptions Off = vecOpts(false, Name + "_scalar");
+    On.SpecializeGroupByAggregate = Off.SpecializeGroupByAggregate = false;
+    CompiledQuery Vec = compileChain(Plan->VertexChain, On);
+    ASSERT_TRUE(Vec.vectorized()) << Name;
+    QueryResult Got = Vec.run(B);
+    expectSameRows(compileChain(Plan->VertexChain, Off).run(B), Got, Name);
+    ASSERT_FALSE(Got.rows().empty());
+    EXPECT_TRUE(Got.rows()[0].isPair()) << Name;
+  }
+}
+
+// A key selector that may divide by zero folds lane by lane: lanes a
+// Where removed never evaluate it, and a zero that reaches the sink
+// raises ST2001 from the batch path.
+TEST(VecGroupTail, MayTrapKeyBehavesLikeScalar) {
+  BatchSizeGuard G("16");
+  std::vector<std::int64_t> Is{4, 0, 6, 0, 12, 5, 0, 3};
+  Bindings B;
+  B.bindInt64Array(0, Is.data(), static_cast<std::int64_t>(Is.size()));
+  Lambda Key = lambda({xi()}, E(std::int64_t{100}) / xi());
+  Lambda Count = lambda({ai(), xi()}, ai() + 1);
+  expectGroupTailMatchesScalar(
+      Query::int64Array(0)
+          .where(lambda({xi()}, xi() != E(std::int64_t{0})))
+          .groupByAggregate(Key, E(std::int64_t{0}), Count),
+      B, "gt_trap_guarded");
+  // A trapping step body folds lane by lane as well.
+  expectGroupTailMatchesScalar(
+      Query::int64Array(0)
+          .where(lambda({xi()}, xi() > E(std::int64_t{0})))
+          .groupByAggregate(lambda({xi()}, xi() % E(std::int64_t{2})),
+                            E(std::int64_t{0}),
+                            lambda({ai(), xi()}, ai() + E(std::int64_t{60}) /
+                                                           xi())),
+      B, "gt_trap_step_guarded");
+}
+
+TEST(VecGroupTailDeath, MayTrapKeyRaisesST2001) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<std::int64_t> Is{4, 0, 6};
+  Bindings B;
+  B.bindInt64Array(0, Is.data(), static_cast<std::int64_t>(Is.size()));
+  CompiledQuery CQ = compileQuery(
+      Query::int64Array(0).groupByAggregate(
+          lambda({xi()}, E(std::int64_t{100}) / xi()), E(std::int64_t{0}),
+          lambda({ai(), xi()}, ai() + 1)),
+      vecOpts(true, "gt_trap_death"));
+  ASSERT_TRUE(CQ.vectorized());
+  EXPECT_DEATH(CQ.run(B), "ST2001.*integer division by zero");
+}
+
+// Per-operator rows-in/rows-out of a batched group tail equal the scalar
+// interpreter's: the sink's rows-out and Ret's are the entry count.
+TEST(VecGroupTail, ProfileCountsMatchScalar) {
+  BatchSizeGuard G("16");
+  std::vector<double> Xs = randomDoubles(333, 54, -50, 50);
+  Bindings B;
+  B.bindDoubleArray(0, Xs.data(), static_cast<std::int64_t>(Xs.size()));
+  Lambda Key = lambda({xd()}, toInt64((xd() + E(50.0)) / E(10.0)));
+  Lambda Plus = lambda({ad(), xd()}, ad() + xd());
+  Query Shapes[] = {
+      Query::doubleArray(0)
+          .where(lambda({xd()}, xd() > E(-20.0)))
+          .groupByAggregate(Key, E(0.0), Plus),
+      Query::doubleArray(0)
+          .take(E(std::int64_t{200}))
+          .groupByAggregateDense(Key, E(std::int64_t{11}), E(0.0), Plus),
+  };
+  int Shape = 0;
+  for (const Query &Q : Shapes) {
+    auto profiledRun = [&](bool Vectorize) {
+      obs::ProfileStore::global().clear();
+      CompileOptions O =
+          vecOpts(Vectorize, "gt_prof" + std::to_string(Shape) +
+                                 (Vectorize ? "_vec" : "_scalar"));
+      O.Profile = true;
+      CompiledQuery CQ = compileQuery(Q, O);
+      EXPECT_EQ(CQ.vectorized(), Vectorize);
+      CQ.run(B);
+      auto Snap = obs::ProfileStore::global().snapshot(CQ.planHash());
+      EXPECT_TRUE(Snap.has_value());
+      return *Snap;
+    };
+    obs::ProfileSnapshot Scalar = profiledRun(false);
+    obs::ProfileSnapshot Batched = profiledRun(true);
+    ASSERT_EQ(Scalar.Ops.size(), Batched.Ops.size());
+    for (size_t I = 0; I != Scalar.Ops.size(); ++I) {
+      EXPECT_EQ(Scalar.Ops[I].Label, Batched.Ops[I].Label) << "op " << I;
+      EXPECT_EQ(Scalar.Ops[I].RowsIn, Batched.Ops[I].RowsIn)
+          << Scalar.Ops[I].Label;
+      EXPECT_EQ(Scalar.Ops[I].RowsOut, Batched.Ops[I].RowsOut)
+          << Scalar.Ops[I].Label;
+    }
+    ++Shape;
+  }
 }
